@@ -254,6 +254,7 @@ const char* OpName(Op op) {
     case Op::kCreateFd: return "create_fd";
     case Op::kSendmsg: return "sendmsg";
     case Op::kRecvmsg: return "recvmsg";
+    case Op::kCreateProcess: return "create_process";
   }
   return "?";
 }
@@ -306,6 +307,10 @@ bool ModeApplies(Mode mode, Op op) {
     case Op::kRecvmsg:
       return mode == Mode::kEintr || mode == Mode::kEagain ||
              mode == Mode::kEmfile || mode == Mode::kShort;
+    case Op::kCreateProcess:
+      // The kernel's EAGAIN here (RLIMIT_NPROC) is not retried by anyone,
+      // and the sweep requires EAGAIN runs to succeed.
+      return mode == Mode::kEnomem;
   }
   return false;
 }

@@ -51,6 +51,7 @@ enum class Op : uint32_t {
   kCreateFd,      // pipe2/socketpair/epoll_create1/timerfd_create
   kSendmsg,       // sendmsg(2)
   kRecvmsg,       // recvmsg(2)
+  kCreateProcess, // fork/vfork/clone (ENOMEM only: EAGAIN runs must succeed)
 };
 
 enum class Mode : uint32_t {

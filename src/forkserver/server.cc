@@ -474,7 +474,8 @@ Result<std::vector<UniqueFd>> ForkServer::RelocateFds(std::vector<UniqueFd> fds)
 
 SpawnReply ForkServer::LaunchDecoded(const SpawnRequest& req) {
   SpawnReply reply;
-  auto pid = ForkExecBackend().Launch(req);
+  // The zygote's only engine: nothing of the zygote is copied (server.h).
+  auto pid = Clone3Backend().Launch(req);
   if (!pid.ok()) {
     reply.ok = false;
     reply.err = pid.error().code();

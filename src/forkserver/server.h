@@ -1,10 +1,15 @@
 // forklift/forkserver: the zygote process.
 //
 // A ForkServer serves one or more AF_UNIX stream channels: it decodes spawn
-// requests, launches them with the fork+exec engine (forking the *small*
-// server rather than the large client — the entire point of the zygote
-// pattern, §6 of the paper), supervises the children, and answers wait
-// requests. Additional channels are adopted at runtime via kNewChannel frames
+// requests, launches them, supervises the children, and answers wait
+// requests. The launch engine is clone(CLONE_VM|CLONE_VFORK) (Clone3Backend),
+// not fork: the child borrows the zygote's address space until it execs, so
+// no page table is copied and a spawn costs the same however large the
+// zygote has grown (the paper's Fig. 1 flat line; §6's zygote pattern
+// without fork's per-spawn copy). The zygote is suspended until the child's
+// execve, and the exec pipe closes inside that same execve, so an
+// asynchronous exec confirmation would have nothing left to overlap.
+// Additional channels are adopted at runtime via kNewChannel frames
 // carrying a socket (SCM_RIGHTS), so each client thread can own a private
 // channel. One Reactor multiplexes everything Serve watches: client channels,
 // the daemon listener, and a pidfd per live child — so a child's exit is
@@ -101,8 +106,8 @@ class ForkServer {
   // Dups every received descriptor above the plan-reachable range
   // (faultinject site `forkserver.relocate_fd`); errno error on failure.
   Result<std::vector<UniqueFd>> RelocateFds(std::vector<UniqueFd> fds);
-  // The launch half of a spawn once the request is decoded: fork+exec, child
-  // bookkeeping (live set, exit watch, counters), reply construction.
+  // The launch half of a spawn once the request is decoded: clone_vm+exec,
+  // child bookkeeping (live set, exit watch, counters), reply construction.
   SpawnReply LaunchDecoded(const SpawnRequest& req);
   // Appends one framed reply to `sock`'s coalescing buffer (falls back to a
   // direct send for unregistered sockets).

@@ -8,13 +8,14 @@
 // CLOEXEC "exec pipe": if exec succeeds the pipe closes silently; if any stage
 // fails the child writes {errno, stage-tag} and _exit(127)s, and the parent
 // converts that to a clean Result error with the failing stage named.
+//
+// LaunchForked is the parent half every fork-family engine shares; an engine
+// supplies only the call that creates the child.
 #ifndef SRC_SPAWN_BACKEND_COMMON_H_
 #define SRC_SPAWN_BACKEND_COMMON_H_
 
+#include <signal.h>
 #include <sys/types.h>
-
-#include <string>
-#include <vector>
 
 #include "src/common/result.h"
 #include "src/spawn/backend.h"
@@ -22,27 +23,40 @@
 namespace forklift {
 namespace internal {
 
-// Candidate executable paths, in try-order. Resolved in the parent, where
-// allocation is legal; the child only walks the array.
-Result<std::vector<std::string>> ResolveExecTargets(const SpawnRequest& req);
-
-// Fixed-size record the child writes on failure. `stage` is a short tag like
-// "execve" or "chdir".
-struct ExecFailure {
-  int32_t err;
-  char stage[24];
+// Everything a child needs, resolved by the parent before the child exists.
+struct ChildExecArgs {
+  const SpawnRequest* req = nullptr;
+  const char* const* exec_paths = nullptr;  // NULL-terminated, in try-order
+  int err_fd = -1;                          // write end of the exec pipe
+  sigset_t caller_mask;  // the spawning thread's mask before LaunchForked blocked all
 };
 
-// Child-side: applies `req`, then execve()s each of `exec_paths` (a
-// NULL-terminated array of candidate c-strings) until one sticks. On any
-// failure, reports through `err_fd` and _exit(127)s. Never returns.
-// Async-signal-safe. `err_fd` may be any descriptor; it is relocated above the
-// plan's fd range internally.
-[[noreturn]] void ChildExec(const SpawnRequest& req, const char* const* exec_paths, int err_fd);
+// Child-side: applies the request, then execve()s each exec path until one
+// sticks. On any failure, reports through the exec pipe and _exit(127)s.
+// Never returns. Async-signal-safe.
+//
+// The child starts with every signal blocked (LaunchForked's doing). It
+// resets every caught handler to SIG_DFL — every handler at all when the
+// request resets signals — and only then restores the caller's mask (or
+// empties it), right before exec, as glibc's posix_spawn does: a child that
+// shares the parent's memory must never run one of the parent's handlers.
+// The exec pipe is first moved above every descriptor the fd plan writes.
+//
+// Not address-sanitized: under the clone engine it runs on a heap stack
+// ASan does not know, sharing the parent thread's sanitizer state, and every
+// noreturn call there would make ASan warn of false positives.
+[[noreturn, gnu::no_sanitize("address")]] void ChildExec(const ChildExecArgs& args);
 
-// Parent-side: waits for the exec pipe to close (success) or deliver an
-// ExecFailure (failure; the dead child is reaped before returning the error).
-Status AwaitExec(int read_fd, pid_t pid);
+// Creates one child that runs ChildExec(args) and returns its pid, or -1
+// with errno set.
+using StartChildFn = pid_t (*)(const ChildExecArgs& args);
+
+// Parent-side launch shared by the fork-family engines: resolves the exec
+// targets, opens the exec pipe, calls `start` with every signal blocked, and
+// waits for the pipe to close (exec succeeded) or to deliver the child's
+// failure (the dead child is reaped before the error returns). `what` names
+// the creation primitive in errors.
+Result<pid_t> LaunchForked(const SpawnRequest& req, const char* what, StartChildFn start);
 
 }  // namespace internal
 }  // namespace forklift

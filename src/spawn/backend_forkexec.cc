@@ -4,9 +4,6 @@
 // error reporting, which adds two descriptors and no memory work.
 #include <unistd.h>
 
-#include <vector>
-
-#include "src/common/pipe.h"
 #include "src/spawn/backend.h"
 #include "src/spawn/backend_common.h"
 
@@ -14,31 +11,19 @@ namespace forklift {
 
 namespace {
 
+pid_t StartFork(const internal::ChildExecArgs& args) {
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    // Child. Only async-signal-safe work from here to exec.
+    internal::ChildExec(args);
+  }
+  return pid;
+}
+
 class ForkExecEngine : public SpawnBackend {
  public:
   Result<pid_t> Launch(const SpawnRequest& req) override {
-    FORKLIFT_ASSIGN_OR_RETURN(std::vector<std::string> targets,
-                              internal::ResolveExecTargets(req));
-    std::vector<const char*> target_ptrs;
-    target_ptrs.reserve(targets.size() + 1);
-    for (const auto& t : targets) {
-      target_ptrs.push_back(t.c_str());
-    }
-    target_ptrs.push_back(nullptr);
-
-    FORKLIFT_ASSIGN_OR_RETURN(Pipe exec_pipe, MakePipe());
-
-    pid_t pid = ::fork();
-    if (pid < 0) {
-      return ErrnoError("fork");
-    }
-    if (pid == 0) {
-      // Child. Only async-signal-safe work from here to exec.
-      internal::ChildExec(req, target_ptrs.data(), exec_pipe.write_end.get());
-    }
-    exec_pipe.write_end.Reset();
-    FORKLIFT_RETURN_IF_ERROR(internal::AwaitExec(exec_pipe.read_end.get(), pid));
-    return pid;
+    return internal::LaunchForked(req, "fork", StartFork);
   }
 
   const char* Name() const override { return "fork+exec"; }

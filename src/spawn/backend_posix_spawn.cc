@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/spawn/backend.h"
-#include "src/spawn/backend_common.h"
 
 namespace forklift {
 

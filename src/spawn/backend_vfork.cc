@@ -3,14 +3,12 @@
 // is independent of parent memory size (the paper's Figure 1 shows it flat
 // where fork grows linearly). The price is the API's notorious fragility: the
 // child runs on the parent's stack, so everything it touches must be dead by
-// the time the parent resumes. We confine the child to a noinline helper whose
-// frames sit below the vfork frame and which terminates only via exec or
-// _exit — the same discipline glibc's posix_spawn uses internally.
+// the time the parent resumes. LaunchForked resolves everything before the
+// vfork and blocks every signal across it; the child only calls ChildExec,
+// whose frames sit below the vfork frame and which terminates only via exec
+// or _exit — the same discipline glibc's posix_spawn uses internally.
 #include <unistd.h>
 
-#include <vector>
-
-#include "src/common/pipe.h"
 #include "src/spawn/backend.h"
 #include "src/spawn/backend_common.h"
 
@@ -18,44 +16,21 @@ namespace forklift {
 
 namespace {
 
-// Must not be inlined into the vfork frame: its locals live strictly below the
-// suspended parent's stack pointer and are dead when the parent resumes.
-[[gnu::noinline]] void VforkChild(const SpawnRequest& req, const char* const* targets,
-                                  int err_fd) {
-  internal::ChildExec(req, targets, err_fd);
+// Compilers emit no sibling calls in a function that calls a returns_twice
+// function like vfork, so the child enters ChildExec (another translation
+// unit) by a real call, below this frame.
+pid_t StartVfork(const internal::ChildExecArgs& args) {
+  pid_t pid = ::vfork();
+  if (pid == 0) {
+    internal::ChildExec(args);
+  }
+  return pid;
 }
 
 class VforkEngine : public SpawnBackend {
  public:
   Result<pid_t> Launch(const SpawnRequest& req) override {
-    FORKLIFT_ASSIGN_OR_RETURN(std::vector<std::string> targets,
-                              internal::ResolveExecTargets(req));
-    std::vector<const char*> target_ptrs;
-    target_ptrs.reserve(targets.size() + 1);
-    for (const auto& t : targets) {
-      target_ptrs.push_back(t.c_str());
-    }
-    target_ptrs.push_back(nullptr);
-
-    FORKLIFT_ASSIGN_OR_RETURN(Pipe exec_pipe, MakePipe());
-
-    // Everything the child needs is resolved before the vfork so the child
-    // performs no allocation and writes no parent-visible state.
-    const char* const* targets_ptr = target_ptrs.data();
-    int err_fd = exec_pipe.write_end.get();
-    const SpawnRequest* req_ptr = &req;
-
-    pid_t pid = ::vfork();
-    if (pid < 0) {
-      return ErrnoError("vfork");
-    }
-    if (pid == 0) {
-      VforkChild(*req_ptr, targets_ptr, err_fd);
-      _exit(127);  // unreachable; ChildExec never returns
-    }
-    exec_pipe.write_end.Reset();
-    FORKLIFT_RETURN_IF_ERROR(internal::AwaitExec(exec_pipe.read_end.get(), pid));
-    return pid;
+    return internal::LaunchForked(req, "vfork", StartVfork);
   }
 
   const char* Name() const override { return "vfork+exec"; }

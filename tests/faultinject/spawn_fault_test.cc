@@ -107,8 +107,34 @@ TEST_F(SpawnFaultTest, FailedAwaitExecLeavesNoChildAndNoFds) {
   ReapStrays();
 }
 
+// An injected ENOMEM at the clone_vm engine's process creation (the zygote's
+// launch engine) is a clean error: no child, and the exec pipe closed.
+TEST_F(SpawnFaultTest, FailedCloneVmLeavesNoChildAndNoFds) {
+  if (std::string(Clone3Backend().Name()) != "clone(CLONE_VM|CLONE_VFORK)") {
+    GTEST_SKIP() << "this build's clone_vm engine is " << Clone3Backend().Name();
+  }
+  ASSERT_FALSE(HasAnyChild());
+  std::set<int> before = SnapshotFds();
+
+  fault::PlanSpec spec;
+  spec.site = "spawn.clone_vm";
+  spec.mode = fault::Mode::kEnomem;
+  spec.nth = 1;
+  fault::InstallPlan(spec);
+  auto child = Spawner("/bin/true").SetBackend(SpawnBackendKind::kCloneVm).Spawn();
+  uint64_t fired = fault::InjectionsFired();
+  fault::ClearPlan();
+
+  ASSERT_EQ(fired, 1u) << "injection did not reach the clone call";
+  ASSERT_FALSE(child.ok());
+  EXPECT_EQ(child.error().code(), ENOMEM);
+  EXPECT_FALSE(HasAnyChild());
+  EXPECT_EQ(SnapshotFds(), before) << "failed clone leaked the exec pipe";
+  ReapStrays();
+}
+
 // Sanity companion: with no plan installed the identical spawn works, so the
-// test above is exercising the injected path and not a broken fixture.
+// tests above are exercising the injected path and not a broken fixture.
 TEST_F(SpawnFaultTest, SameSpawnSucceedsWithoutInjection) {
   auto child = Spawner("/bin/cat")
                    .SetStdin(Stdio::Pipe())

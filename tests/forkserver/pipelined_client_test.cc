@@ -4,12 +4,18 @@
 // multi-threaded stress mix (the TSan target for the pipelined send/receive
 // paths).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/pipe.h"
@@ -359,6 +365,81 @@ TEST(PipelinedClientTest, AbandonedPendingReplyIsHarmless) {
     EXPECT_TRUE(srv.client().Ping().ok());
   }
   EXPECT_EQ(srv.client().outstanding(), 0u);
+}
+
+// The zygote's own spawn counter, scraped over the channel.
+uint64_t ZygoteSpawnsTotal(ForkServerClient& client) {
+  auto text = client.Stats(obs::StatsFormat::kPrometheus);
+  EXPECT_TRUE(text.ok());
+  const std::string needle = "\nforklift_forkserver_spawns_total ";
+  size_t at = text.ok() ? text->find(needle) : std::string::npos;
+  return at == std::string::npos ? 0 : std::stoull(text->substr(at + needle.size()));
+}
+
+// Exec failures inside a zygote process, interleaved with successes on one
+// pipelined channel: every reply completes exactly once with its own pid or
+// errno, only successes count as spawns, and the zygote reaps the children
+// that failed instead of leaving them as zombies.
+TEST(PipelinedClientTest, ZygoteExecFailuresCompleteOnceAndLeaveNoChildren) {
+  const std::string noexec = ::testing::TempDir() + "forklift_noexec_probe";
+  {
+    std::ofstream(noexec) << "#!/bin/sh\n";
+    ASSERT_EQ(::chmod(noexec.c_str(), 0644), 0);
+  }
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t zygote = handle->server_pid;
+  {
+    ForkServerClient client(std::move(handle->client_sock));
+    const uint64_t spawns_before = ZygoteSpawnsTotal(client);
+
+    struct Case {
+      std::string program;
+      int err;  // 0: must launch
+    };
+    const Case cases[] = {{"/bin/true", 0}, {"/nonexistent/forklift-probe", ENOENT},
+                          {noexec, EACCES}};
+    constexpr int kRounds = 8;
+    std::vector<std::pair<int, ForkServerClient::PendingReply>> burst;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const Case& c : cases) {
+        auto req = Spawner(c.program).BuildRequest();
+        ASSERT_TRUE(req.ok());
+        auto p = client.LaunchAsync(*req);
+        ASSERT_TRUE(p.ok()) << p.error().ToString();
+        burst.emplace_back(c.err, std::move(*p));
+      }
+    }
+    std::vector<pid_t> pids;
+    for (auto& [err, pending] : burst) {
+      auto pid = pending.AwaitPid();
+      EXPECT_FALSE(pending.valid()) << "a reply must complete its request once";
+      if (err == 0) {
+        ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+        pids.push_back(*pid);
+      } else {
+        ASSERT_FALSE(pid.ok()) << "exec failure reported as pid " << *pid;
+        EXPECT_EQ(pid.error().code(), err) << pid.error().ToString();
+      }
+    }
+    EXPECT_EQ(client.outstanding(), 0u);
+    for (pid_t pid : pids) {
+      auto st = client.WaitRemote(pid);
+      ASSERT_TRUE(st.ok()) << st.error().ToString();
+      EXPECT_TRUE(st->Success());
+    }
+    EXPECT_EQ(ZygoteSpawnsTotal(client) - spawns_before, static_cast<uint64_t>(kRounds));
+
+    const std::string children =
+        "/proc/" + std::to_string(zygote) + "/task/" + std::to_string(zygote) + "/children";
+    std::ifstream in(children);
+    ASSERT_TRUE(in.good()) << children;
+    std::string left((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(left.find_first_not_of(" \n"), std::string::npos) << "zygote children: " << left;
+    EXPECT_TRUE(client.Shutdown().ok());
+  }
+  EXPECT_TRUE(WaitPid(zygote).ok());
+  std::remove(noexec.c_str());
 }
 
 // --- kSpawnBatch: a burst of spawns in one frame, one reply per entry ---

@@ -11,7 +11,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "src/common/pipe.h"
@@ -19,6 +22,22 @@
 
 namespace forklift {
 namespace {
+
+// The value of `key` ("SigBlk", ...) in /proc/<pid>/status text.
+std::string FieldOf(const std::string& status, const std::string& key) {
+  size_t at = status.find("\n" + key + ":\t");
+  if (at == std::string::npos) {
+    return "";
+  }
+  at += key.size() + 3;
+  return status.substr(at, status.find('\n', at) - at);
+}
+
+std::string StatusField(const std::string& path, const std::string& key) {
+  std::ifstream in(path);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  return FieldOf(text, key);
+}
 
 class SpawnerBackendTest : public ::testing::TestWithParam<SpawnBackendKind> {
  protected:
@@ -441,6 +460,40 @@ TEST_P(SpawnerBackendTest, SignalMaskResetInChild) {
       << "child signal mask not reset: " << oc->stdout_data;
 }
 
+// The fork-family engines block every signal across process creation; the
+// child must still exec with exactly the caller's mask and keep what the
+// caller ignores when it asks for no reset.
+TEST_P(SpawnerBackendTest, CallerSignalStateKeptWithoutReset) {
+  sigset_t block, old_mask;
+  sigemptyset(&block);
+  sigaddset(&block, SIGUSR2);
+  ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &block, &old_mask), 0);
+  struct sigaction ignore, old_usr1;
+  std::memset(&ignore, 0, sizeof(ignore));
+  ignore.sa_handler = SIG_IGN;
+  ASSERT_EQ(::sigaction(SIGUSR1, &ignore, &old_usr1), 0);
+
+  const std::string caller_status = StatusField("/proc/thread-self/status", "SigBlk");
+  auto child = Spawner("/bin/cat")
+                   .Arg("/proc/self/status")
+                   .ResetSignals(false)
+                   .SetStdout(Stdio::Pipe())
+                   .SetBackend(backend())
+                   .Spawn();
+  ::sigaction(SIGUSR1, &old_usr1, nullptr);
+  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
+  ASSERT_TRUE(child.ok()) << child.error().ToString();
+  auto oc = child->Communicate();
+  ASSERT_TRUE(oc.ok());
+  ASSERT_TRUE(oc->status.Success());
+
+  const std::string child_blk = FieldOf(oc->stdout_data, "SigBlk");
+  ASSERT_FALSE(caller_status.empty());
+  EXPECT_EQ(child_blk, caller_status) << "child mask differs from the caller's";
+  const unsigned long long ign = std::stoull(FieldOf(oc->stdout_data, "SigIgn"), nullptr, 16);
+  EXPECT_NE(ign & (1ull << (SIGUSR1 - 1)), 0u) << "SIGUSR1 no longer ignored in the child";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, SpawnerBackendTest,
                          ::testing::Values(SpawnBackendKind::kForkExec,
                                            SpawnBackendKind::kVfork,
@@ -462,6 +515,75 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SpawnerBackendTest,
                          });
 
 // --- Backend-specific behaviour ---------------------------------------------
+
+// The engines that report exec failure through ChildExec's exec pipe.
+class ForkFamilyTest : public ::testing::TestWithParam<SpawnBackendKind> {};
+
+// Lowers the soft RLIMIT_NOFILE for one scope.
+class ScopedSoftNofile {
+ public:
+  explicit ScopedSoftNofile(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~ScopedSoftNofile() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_;
+};
+
+// Regression: the exec pipe used to be moved to a fixed fd 1000, which fails
+// under a soft RLIMIT_NOFILE of 1000 or less. The pipe then kept its low
+// number, a plan that targets that number overwrote it, and the parent read
+// EOF as "exec succeeded": a failed exec came back as a live pid.
+TEST_P(ForkFamilyTest, FailedExecUnderSmallFdLimitIsAnError) {
+  int high = -1;
+  {
+    auto devnull = OpenFd("/dev/null", O_WRONLY | O_CLOEXEC);
+    ASSERT_TRUE(devnull.ok());
+    high = ::fcntl(devnull->get(), F_DUPFD_CLOEXEC, 200);
+  }
+  ASSERT_GE(high, 200);
+  UniqueFd src(high);
+  ScopedSoftNofile limit(256);
+  auto with_plan = [&](const char* program) {
+    Spawner s(program);
+    for (int k = 3; k <= 15; ++k) {
+      s.PassFd(src.get(), k);  // covers the numbers the exec pipe lands on
+    }
+    return s.SetBackend(GetParam()).Spawn();
+  };
+
+  auto missing = with_plan("/nonexistent/program");
+  if (missing.ok()) {
+    auto st = missing->Wait();
+    FAIL() << "failed exec reported as pid " << missing->pid() << " ("
+           << (st.ok() ? st->ToString() : st.error().ToString()) << ")";
+  }
+  EXPECT_EQ(missing.error().code(), ENOENT) << missing.error().ToString();
+
+  auto ok = with_plan("/bin/true");
+  ASSERT_TRUE(ok.ok()) << ok.error().ToString();
+  auto st = ok->Wait();
+  ASSERT_TRUE(st.ok());
+  EXPECT_TRUE(st->Success());
+}
+
+INSTANTIATE_TEST_SUITE_P(ForkFamily, ForkFamilyTest,
+                         ::testing::Values(SpawnBackendKind::kForkExec, SpawnBackendKind::kVfork,
+                                           SpawnBackendKind::kCloneVm),
+                         [](const ::testing::TestParamInfo<SpawnBackendKind>& param_info) {
+                           switch (param_info.param) {
+                             case SpawnBackendKind::kForkExec:
+                               return "ForkExec";
+                             case SpawnBackendKind::kVfork:
+                               return "Vfork";
+                             default:
+                               return "CloneVm";
+                           }
+                         });
 
 TEST(SpawnerRlimitTest, ForkBackendAppliesRlimit) {
   auto child = Spawner("/bin/sh")
