@@ -41,12 +41,21 @@ double DirectRate(SpawnBackendKind kind) {
   return kTasks / sw.ElapsedSeconds();
 }
 
+// One zygote spawn+wait of /bin/true, request built per task like the direct
+// rows build their Spawner.
+bool ZygoteTask(ForkServerClient& client) {
+  auto req = Spawner("/bin/true").BuildRequest();
+  if (!req.ok()) {
+    return false;
+  }
+  auto pid = client.LaunchRequest(*req);
+  return pid.ok() && client.WaitRemote(*pid).ok();
+}
+
 double ForkServerRate(ForkServerClient& client) {
   Stopwatch sw;
   for (int i = 0; i < kTasks; ++i) {
-    Spawner s("/bin/true");
-    auto child = client.Spawn(s);
-    if (!child.ok() || !child->Wait().ok()) {
+    if (!ZygoteTask(client)) {
       return -1;
     }
   }
@@ -65,7 +74,7 @@ double PoolRate(ShellWorkerPool& pool) {
 }
 
 // N threads issuing spawn+wait, either all multiplexed over one shared
-// channel (its internal mutex serializes them) or each on a private channel.
+// channel or each on a private channel.
 double ThreadedRate(std::vector<ForkServerClient*>& clients, int threads) {
   std::atomic<uint64_t> completed{0};
   std::vector<std::thread> workers;
@@ -74,9 +83,7 @@ double ThreadedRate(std::vector<ForkServerClient*>& clients, int threads) {
     ForkServerClient* client = clients[static_cast<size_t>(t) % clients.size()];
     workers.emplace_back([client, &completed] {
       for (int i = 0; i < kTasks / 3; ++i) {
-        Spawner s("/bin/true");
-        auto child = client->Spawn(s);
-        if (child.ok() && child->Wait().ok()) {
+        if (ZygoteTask(*client)) {
           ++completed;
         }
       }

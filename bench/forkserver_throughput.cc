@@ -1,34 +1,23 @@
-// Fork-server data-plane throughput: what the v2 pipelined protocol and the
-// sharded zygote pool buy over the v1 one-request-per-round-trip channel.
+// Fork-server data-plane throughput: what the pipelined client and the
+// sharded zygote pool sustain.
 //
-// Three configurations spawn-and-wait a short-lived child through a zygote.
-// The child runs ~10ms (`/bin/sleep 0.01`): long enough to outlive the spawn
-// round trip, the way real children outlive theirs. That is exactly the case
-// v1 handles worst — the wait reaches the server while the child is alive and
-// parks the whole single-threaded zygote in WaitForExit — and the case the
-// v2 parked-wait path turns into a pidfd watch that blocks nobody. (With a
-// child that dies faster than the round trip, every mode converges on the
-// zygote's raw fork+exec rate and the protocol difference vanishes.)
+// The main configurations spawn-and-wait a short-lived child through a
+// zygote. The child runs ~10ms (`/bin/sleep 0.01`): long enough to outlive
+// the spawn round trip, the way real children outlive theirs, so the wait
+// reaches the server while the child is alive and parks on its pidfd watch.
+// (With a child that dies faster than the round trip, every mode converges
+// on the zygote's raw launch rate.)
 //
-//   v1-blocking        one server process, one LegacyForkServerClient shared
-//                      by T threads behind its channel mutex. Every spawn is
-//                      a full round trip, and every kWait parks the single-
-//                      threaded SERVER in WaitForExit until the child dies —
-//                      head-of-line blocking for everyone else on the socket.
-//   pipelined          same single server, but a protocol-v2 ForkServerClient:
-//                      T threads keep a window of D requests in flight; waits
-//                      park server-side on the child's pidfd watch, so fork
-//                      work overlaps child lifetimes on one channel.
+//   pipelined          one server process and one ForkServerClient: T threads
+//                      keep a window of D requests in flight; waits park
+//                      server-side on the child's pidfd watch, so fork work
+//                      overlaps child lifetimes on one channel.
 //   sharded-pipelined  a ShardedForkServer pool (S zygotes, least-outstanding
 //                      routing) in front of the same pipelined client path.
 //   pipelined-trivial  the pipelined channel on the pure data-plane workload:
 //                      /bin/true children, submit→pid only (the server reaps
 //                      exits on its pidfd watches). Isolates wire cost from
-//                      child lifetime; the baseline for the batched cell.
-//   batched-trivial    same workload, but every depth-D window rides ONE
-//                      kSpawnBatch frame, and the flat-combining submit queue
-//                      plus the server's reply coalescing collapse the wire
-//                      to ~one writev per burst in each direction.
+//                      child lifetime.
 //
 // Each cell launches a fixed number of spawns and reports aggregate
 // spawns/second plus per-op (submit→wait-complete) latency percentiles; the
@@ -106,32 +95,12 @@ uint64_t WireWriteSyscalls() {
          reg.GetCounter("forklift_wire_syscalls_total{op=\"sendmsg\"}").Value();
 }
 
-// One thread's share of the cell, v1 style: strictly serial round trips
-// through the shared legacy client.
-void V1Worker(LegacyForkServerClient* client, const SpawnRequest& req, int ops,
-              SampleStats* lat_ms, uint64_t* failures) {
-  for (int i = 0; i < ops; ++i) {
-    Stopwatch sw;
-    auto pid = client->LaunchRequest(req);
-    if (!pid.ok()) {
-      ++*failures;
-      continue;
-    }
-    auto st = client->WaitRemote(*pid);
-    if (!st.ok() || !st->Success()) {
-      ++*failures;
-      continue;
-    }
-    lat_ms->Add(sw.ElapsedSeconds() * 1e3);
-  }
-}
-
 // One thread's share, pipelined: a window of `depth` spawns is submitted
 // before the first await, so the zygote's fork work overlaps both the
 // channel round trips and the children's lifetimes.
-void PipelinedWorker(RemoteSpawnService* service, ForkServerClient* channel,
-                     ShardedForkServer* pool, const SpawnRequest& req, int ops, int depth,
-                     SampleStats* lat_ms, uint64_t* failures) {
+// Exactly one of `channel` and `pool` is set.
+void PipelinedWorker(ForkServerClient* channel, ShardedForkServer* pool, const SpawnRequest& req,
+                     int ops, int depth, SampleStats* lat_ms, uint64_t* failures) {
   struct InFlight {
     Stopwatch start;
     pid_t pid = -1;
@@ -186,7 +155,7 @@ void PipelinedWorker(RemoteSpawnService* service, ForkServerClient* channel,
     }
 
     for (const InFlight& flight : flights) {
-      auto st = service->WaitRemote(flight.pid);
+      auto st = channel != nullptr ? channel->WaitRemote(flight.pid) : pool->WaitRemote(flight.pid);
       if (!st.ok() || !st->Success()) {
         ++*failures;
         continue;
@@ -196,37 +165,24 @@ void PipelinedWorker(RemoteSpawnService* service, ForkServerClient* channel,
   }
 }
 
-// One thread's share of a *-trivial cell: windows of `depth` submit→pid ops
-// against /bin/true children. `batched` picks between D individual LaunchAsync
-// frames per window and one kSpawnBatch frame carrying the whole window — the
-// only variable between the two trivial cells, so their ratio is the price of
-// per-request framing.
+// One thread's share of the trivial cell: windows of `depth` submit→pid ops
+// against /bin/true children.
 void TrivialWorker(ForkServerClient* channel, const SpawnRequest& req, int ops, int depth,
-                   bool batched, SampleStats* lat_ms, uint64_t* failures) {
+                   SampleStats* lat_ms, uint64_t* failures) {
   int submitted = 0;
   while (submitted < ops) {
     int window = std::min(depth, ops - submitted);
     submitted += window;
     Stopwatch start;
     std::vector<ForkServerClient::PendingReply> pending;
-    if (batched) {
-      std::vector<SpawnRequest> burst(static_cast<size_t>(window), req);
-      auto p = channel->LaunchBatchAsync(burst);
+    pending.reserve(static_cast<size_t>(window));
+    for (int i = 0; i < window; ++i) {
+      auto p = channel->LaunchAsync(req);
       if (!p.ok()) {
-        *failures += static_cast<uint64_t>(window);
+        ++*failures;
         continue;
       }
-      pending = std::move(*p);
-    } else {
-      pending.reserve(static_cast<size_t>(window));
-      for (int i = 0; i < window; ++i) {
-        auto p = channel->LaunchAsync(req);
-        if (!p.ok()) {
-          ++*failures;
-          continue;
-        }
-        pending.push_back(std::move(*p));
-      }
+      pending.push_back(std::move(*p));
     }
     for (auto& p : pending) {
       auto pid = p.AwaitPid();
@@ -234,8 +190,7 @@ void TrivialWorker(ForkServerClient* channel, const SpawnRequest& req, int ops, 
         ++*failures;
         continue;
       }
-      // Whole-window latency attributed to each op: both cells are charged
-      // identically, so the per-op numbers stay comparable across the pair.
+      // Whole-window latency attributed to each op.
       lat_ms->Add(start.ElapsedSeconds() * 1e3);
     }
   }
@@ -248,7 +203,7 @@ CellResult RunCell(const std::string& mode, int threads, int shards, int depth, 
   cell.shards = shards;
   cell.depth = depth;
 
-  bool trivial = mode == "pipelined-trivial" || mode == "batched-trivial";
+  bool trivial = mode == "pipelined-trivial";
   SpawnRequest req = trivial ? TrivialRequest() : WorkloadRequest();
   std::vector<SampleStats> lat(threads);
   std::vector<uint64_t> failures(threads, 0);
@@ -268,17 +223,7 @@ CellResult RunCell(const std::string& mode, int threads, int shards, int depth, 
     cell.seconds = sw.ElapsedSeconds();
   };
 
-  if (mode == "v1-blocking") {
-    auto handle = StartForkServerProcess();
-    if (!handle.ok()) {
-      std::fprintf(stderr, "server start: %s\n", handle.error().ToString().c_str());
-      std::exit(1);
-    }
-    LegacyForkServerClient client(std::move(handle->client_sock));
-    run_threads([&](int t) { V1Worker(&client, req, per_thread, &lat[t], &failures[t]); });
-    (void)client.Shutdown();
-    (void)WaitForExit(handle->server_pid);
-  } else if (mode == "pipelined" || trivial) {
+  if (mode == "pipelined" || trivial) {
     auto handle = StartForkServerProcess();
     if (!handle.ok()) {
       std::fprintf(stderr, "server start: %s\n", handle.error().ToString().c_str());
@@ -286,13 +231,12 @@ CellResult RunCell(const std::string& mode, int threads, int shards, int depth, 
     }
     ForkServerClient client(std::move(handle->client_sock));
     if (trivial) {
-      bool batched = mode == "batched-trivial";
       run_threads([&](int t) {
-        TrivialWorker(&client, req, per_thread, depth, batched, &lat[t], &failures[t]);
+        TrivialWorker(&client, req, per_thread, depth, &lat[t], &failures[t]);
       });
     } else {
       run_threads([&](int t) {
-        PipelinedWorker(&client, &client, nullptr, req, per_thread, depth, &lat[t], &failures[t]);
+        PipelinedWorker(&client, nullptr, req, per_thread, depth, &lat[t], &failures[t]);
       });
     }
     (void)client.Shutdown();
@@ -306,8 +250,7 @@ CellResult RunCell(const std::string& mode, int threads, int shards, int depth, 
       std::exit(1);
     }
     run_threads([&](int t) {
-      PipelinedWorker(pool->get(), nullptr, pool->get(), req, per_thread, depth, &lat[t],
-                      &failures[t]);
+      PipelinedWorker(nullptr, pool->get(), req, per_thread, depth, &lat[t], &failures[t]);
     });
     (void)(*pool)->Shutdown();
   }
@@ -358,13 +301,12 @@ int main(int argc, char** argv) {
   }
 
   const int ops = quick ? 80 : 400;
-  PrintBanner("E8: fork-server data plane — v1 blocking vs pipelined vs sharded");
+  PrintBanner("E8: fork-server data plane — pipelined vs sharded");
   std::printf("host has %u hardware threads; %d spawns per cell\n\n",
               std::thread::hardware_concurrency(), ops);
 
-  // The acceptance cell pair: v1 at 4 threads vs sharded+pipelined at 4
-  // threads. Depth 8 keeps each channel saturated without stacking enough
-  // live children to swamp a small host.
+  // Depth 8 keeps each channel saturated without stacking enough live
+  // children to swamp a small host.
   struct CellSpec {
     const char* mode;
     int threads;
@@ -372,10 +314,9 @@ int main(int argc, char** argv) {
     int depth;
   };
   const CellSpec specs[] = {
-      {"v1-blocking", 1, 1, 1},           {"v1-blocking", 4, 1, 1},
-      {"pipelined", 1, 1, 8},             {"pipelined", 4, 1, 8},
-      {"sharded-pipelined", 4, 2, 8},     {"sharded-pipelined", 4, 4, 8},
-      {"pipelined-trivial", 4, 1, 16},    {"batched-trivial", 4, 1, 16},
+      {"pipelined", 1, 1, 8},         {"pipelined", 4, 1, 8},
+      {"sharded-pipelined", 4, 2, 8}, {"sharded-pipelined", 4, 4, 8},
+      {"pipelined-trivial", 4, 1, 16},
   };
 
   std::vector<CellResult> cells;
@@ -395,33 +336,6 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(cell));
   }
   table.Print();
-
-  double v1_at_4 = 0;
-  double best_sharded = 0;
-  double pipelined_trivial = 0;
-  double batched_trivial = 0;
-  double batched_wire_per_spawn = 0;
-  for (const CellResult& cell : cells) {
-    if (cell.mode == "v1-blocking" && cell.threads == 4) {
-      v1_at_4 = cell.spawns_per_sec;
-    }
-    if (cell.mode == "sharded-pipelined" && cell.spawns_per_sec > best_sharded) {
-      best_sharded = cell.spawns_per_sec;
-    }
-    if (cell.mode == "pipelined-trivial") {
-      pipelined_trivial = cell.spawns_per_sec;
-    }
-    if (cell.mode == "batched-trivial") {
-      batched_trivial = cell.spawns_per_sec;
-      batched_wire_per_spawn = cell.wire_write_syscalls_per_spawn;
-    }
-  }
-  double speedup = v1_at_4 > 0 ? best_sharded / v1_at_4 : 0;
-  double batched_speedup = pipelined_trivial > 0 ? batched_trivial / pipelined_trivial : 0;
-  std::printf("\nsharded+pipelined over v1 single socket (4 threads): %.1fx\n", speedup);
-  std::printf("batched over pipelined, trivial children (4 threads): %.2fx "
-              "(%.2f write-side wire syscalls per spawn batched)\n",
-              batched_speedup, batched_wire_per_spawn);
 
   if (!json_path.empty()) {
     JsonWriter json;
@@ -448,8 +362,6 @@ int main(int argc, char** argv) {
       json.EndObject();
     }
     json.EndArray();
-    json.Key("speedup_sharded_pipelined_over_v1").Value(speedup);
-    json.Key("speedup_batched_over_pipelined_trivial").Value(batched_speedup);
     json.EndObject();
     auto written = WriteTextFile(json_path, json.str() + "\n");
     if (!written.ok()) {

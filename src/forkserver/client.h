@@ -1,16 +1,13 @@
 // forklift/forkserver: the client side — talk to a zygote.
 //
-// RemoteChild mirrors spawn::Child for processes that are NOT our children
-// (they belong to the server), so waiting is a protocol round-trip instead of
-// waitpid. ForkServerClient is the pipelined protocol-v2 client: requests are
-// tagged with a request_id and many may be in flight on one channel at once; a
-// dedicated receiver thread matches out-of-order replies back to their
-// issuers, so a slow kWait no longer head-of-line-blocks every other caller
-// sharing the socket. LegacyForkServerClient keeps the v1 one-frame-at-a-time
-// behavior (lock across the round trip) for v1 servers and as the baseline in
-// throughput experiments. ForkServerBackend adapts either — or the sharded
-// pool — to the SpawnBackend interface for fire-and-forget launches through a
-// plain Spawner.
+// ForkServerClient is the one client: requests are tagged with a request_id
+// and many may be in flight on one channel at once; a dedicated receiver
+// thread matches out-of-order replies back to their issuers, so a slow kWait
+// never head-of-line-blocks the other callers sharing the socket. The pids it
+// returns name processes that are NOT our children (the server is their
+// parent), so waiting is a protocol round trip instead of waitpid. Callers
+// outside this subsystem reach it through SpawnService (service_adapters.h),
+// which wraps each pid in a ProcessHandle.
 #ifndef SRC_FORKSERVER_CLIENT_H_
 #define SRC_FORKSERVER_CLIENT_H_
 
@@ -18,7 +15,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,61 +31,10 @@
 #include "src/forkserver/wire.h"
 #include "src/obs/export.h"
 #include "src/spawn/backend.h"
-#include "src/spawn/spawner.h"
 
 namespace forklift {
 
-// The spawn/wait surface a remote child needs from whatever launched it: a
-// single pipelined channel, a legacy v1 channel, or the sharded pool all
-// implement it, so RemoteChild and ForkServerBackend work against any.
-class RemoteSpawnService {
- public:
-  virtual ~RemoteSpawnService() = default;
-
-  // Ships an already-resolved request; returns the remote pid.
-  virtual Result<pid_t> LaunchRequest(const SpawnRequest& req) = 0;
-
-  // Ships a burst of requests, returning one result per entry in order. The
-  // default loops LaunchRequest; batch-capable transports override it to put
-  // the whole burst in one kSpawnBatch frame (one writev, one route).
-  virtual std::vector<Result<pid_t>> LaunchBatch(const std::vector<SpawnRequest>& reqs);
-
-  // Blocks (via the server) until the child exits.
-  virtual Result<ExitStatus> WaitRemote(pid_t pid) = 0;
-
-  // Polls (via the server) for the child's exit, blocking at most
-  // `timeout_seconds` (0 = pure poll); nullopt means still running. This is
-  // the only safe liveness probe for a remote child: the server reaps it on
-  // exit, after which the kernel may recycle the pid, so kill(pid, 0) can
-  // report an unrelated process as "still running". Repeated calls for the
-  // same pid are cheap — the underlying wait is parked server-side once and
-  // re-polled. The default (v1 transports, which cannot park a wait without
-  // stalling the channel) reports the poll as unsupported.
-  virtual Result<std::optional<ExitStatus>> WaitRemoteFor(pid_t pid, double timeout_seconds);
-};
-
-// A process created on our behalf by the fork server. Exit status comes from
-// the server, which is the actual parent.
-class RemoteChild {
- public:
-  RemoteChild() = default;
-  RemoteChild(RemoteSpawnService* service, pid_t pid) : service_(service), pid_(pid) {}
-
-  pid_t pid() const { return pid_; }
-  bool valid() const { return pid_ > 0; }
-
-  // Blocks (via the server) until the child exits.
-  Result<ExitStatus> Wait();
-
-  // kill(2) directly: pids are in our namespace even though parentage is not.
-  Status Kill(int sig = SIGTERM);
-
- private:
-  RemoteSpawnService* service_ = nullptr;
-  pid_t pid_ = -1;
-};
-
-// Pipelined protocol-v2 client. Thread-safe: any number of threads may issue
+// The pipelined client. Thread-safe: any number of threads may issue
 // requests concurrently; each request gets a fresh request_id and a
 // completion slot, and the receiver thread completes slots as replies
 // arrive — in whatever order the server answers. Completed slots are
@@ -104,14 +49,14 @@ class RemoteChild {
 // frame immediately. Frames carrying fds are sent synchronously (the fds are
 // borrowed): the pending run is flushed first for ordering, then the frame
 // goes out as a single sendmsg with the fds attached to its own first bytes.
-class ForkServerClient final : public RemoteSpawnService {
+class ForkServerClient {
   struct Slot;
 
  public:
   // Takes ownership of the client end of the server's socket and starts the
   // receiver thread.
   explicit ForkServerClient(UniqueFd sock);
-  ~ForkServerClient() override;
+  ~ForkServerClient();
   ForkServerClient(const ForkServerClient&) = delete;
   ForkServerClient& operator=(const ForkServerClient&) = delete;
 
@@ -160,22 +105,18 @@ class ForkServerClient final : public RemoteSpawnService {
   Result<PendingReply> PingAsync();
   Result<PendingReply> StatsAsync(obs::StatsFormat format);
 
-  // Ships a burst of spawns as one kSpawnBatch frame (one encode, one wire
-  // submission, one route through a sharded pool). Returns one PendingReply
-  // per request, in order; entry i completes under request_id first_id + i.
-  // `first_id` 0 allocates a contiguous range via obs::NextRequestIdRange.
-  // Fails whole (no slots registered) on encode errors; the burst must fit
-  // one frame (≤ kMaxSpawnBatch entries, ≤ kMaxFdsPerFrame total fds) — the
-  // synchronous LaunchBatch chunks arbitrary bursts for you.
-  Result<std::vector<PendingReply>> LaunchBatchAsync(const std::vector<SpawnRequest>& reqs,
-                                                     uint64_t first_id = 0);
-
   // --- synchronous API (submit + await) ---
 
-  // Ships the spawner's resolved request to the server. Pipe stdio is not
-  // supported over the wire (create pipes locally and use Stdio::Fd /
-  // PassFd — the descriptors are transferred via SCM_RIGHTS).
-  Result<RemoteChild> Spawn(const Spawner& spawner);
+  // Ships an already-resolved request (Spawner::BuildRequest); returns the
+  // remote pid. Pipe stdio is not supported over the wire (create pipes
+  // locally and use Stdio::Fd / PassFd — the descriptors are transferred via
+  // SCM_RIGHTS).
+  Result<pid_t> LaunchRequest(const SpawnRequest& req);
+
+  // Blocks until the child exits. The wait parks server-side on the child's
+  // pidfd watch, so it blocks only the calling thread, not the channel. The
+  // server answers each child's exit exactly once.
+  Result<ExitStatus> WaitRemote(pid_t pid);
 
   // Round-trip liveness probe.
   Status Ping();
@@ -185,26 +126,6 @@ class ForkServerClient final : public RemoteSpawnService {
 
   // Asks the server to exit after acknowledging.
   Status Shutdown();
-
-  // Used by RemoteChild. The wait parks server-side on the child's pidfd
-  // watch, so it blocks only the calling thread, not the channel. Adopts a
-  // wait already parked by WaitRemoteFor for the same pid, so the two can be
-  // mixed freely — the server serves each child's exit status exactly once.
-  Result<ExitStatus> WaitRemote(pid_t pid) override;
-
-  // Timed/non-blocking exit poll. The first call for a pid submits one kWait
-  // and parks the handle; later calls re-poll the same parked wait until it
-  // completes (the server answers it exactly once, so abandoning it between
-  // polls would lose the exit status). Concurrent polls serialize.
-  Result<std::optional<ExitStatus>> WaitRemoteFor(pid_t pid, double timeout_seconds) override;
-
-  // Low-level: ship an already-resolved request; returns the remote pid.
-  Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
-
-  // Synchronous batch: chunks the burst to fit per-frame caps, ships each
-  // chunk as one kSpawnBatch frame, awaits every reply. One result per
-  // request, in order.
-  std::vector<Result<pid_t>> LaunchBatch(const std::vector<SpawnRequest>& reqs) override;
 
   // Opens an additional private channel to the same server (the new socket
   // travels over this one via SCM_RIGHTS). With pipelining one channel rarely
@@ -285,55 +206,7 @@ class ForkServerClient final : public RemoteSpawnService {
   bool dead_ = false;
   Status death_ = Status::Ok();
 
-  // WaitRemoteFor's parked waits: at most one in-flight kWait per polled pid,
-  // held across calls. Declared after mu_ (PendingReply destruction discards
-  // its slot under mu_); parked_mu_ is never taken while holding mu_ or q_mu_.
-  std::mutex parked_mu_;
-  std::unordered_map<pid_t, PendingReply> parked_;
-
   std::thread receiver_;  // started last, joined first
-};
-
-// The pre-pipelining client: one v1 frame in flight, a mutex held across the
-// full round trip. Kept for v1-only servers and as the head-of-line-blocking
-// baseline that bench/forkserver_throughput measures the v2 data plane
-// against.
-class LegacyForkServerClient final : public RemoteSpawnService {
- public:
-  explicit LegacyForkServerClient(UniqueFd sock) : sock_(std::move(sock)) {}
-
-  static Result<std::unique_ptr<LegacyForkServerClient>> ConnectPath(const std::string& path);
-
-  Result<RemoteChild> Spawn(const Spawner& spawner);
-  Status Ping();
-  Status Shutdown();
-  Result<ExitStatus> WaitRemote(pid_t pid) override;
-  Result<pid_t> LaunchRequest(const SpawnRequest& req) override;
-
- private:
-  std::mutex mu_;
-  UniqueFd sock_;
-  // Same shared scratch-encode helpers as the pipelined client (the v1 meta
-  // just leaves request_id at 0); mu_ is held across the round trip anyway,
-  // so it also serializes the scratch.
-  WireWriter scratch_;
-  std::vector<int> scratch_fds_;
-};
-
-// SpawnBackend adapter: lets `Spawner::SetCustomBackend(&backend)` route a
-// spawn through the zygote (single channel or sharded pool). The returned pid
-// is NOT waitable by the caller (the server is the parent) — use
-// ForkServerClient::Spawn for supervised children; the adapter exists for
-// latency experiments and fire-and-forget.
-class ForkServerBackend : public SpawnBackend {
- public:
-  explicit ForkServerBackend(RemoteSpawnService* service) : service_(service) {}
-
-  Result<pid_t> Launch(const SpawnRequest& req) override;
-  const char* Name() const override { return "forkserver"; }
-
- private:
-  RemoteSpawnService* service_;
 };
 
 }  // namespace forklift

@@ -1,88 +1,19 @@
 #include "src/forkserver/pool.h"
 
-#include <signal.h>
+#include <sys/random.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <memory>
+#include <charconv>
+#include <cinttypes>
+#include <cstdio>
+#include <string_view>
 #include <utility>
 
-#include "src/common/pipe.h"
 #include "src/common/syscall.h"
-#include "src/forkserver/client.h"
-#include "src/spawn/service.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
-
-namespace {
-
-// ProcessHandle::Impl for a batch-started remote worker. The worker belongs
-// to the fork server, so every wait — blocking, poll, or deadline — is
-// resolved through the server (WaitRemote / WaitRemoteFor). Probing the
-// local pid table (kill(pid, 0)) would be wrong here: the server reaps the
-// worker the moment it exits, after which the kernel may recycle the pid and
-// the probe would report an unrelated process as our still-running worker.
-class RemoteWorkerImpl final : public ProcessHandle::Impl {
- public:
-  RemoteWorkerImpl(RemoteSpawnService* service, pid_t pid) : service_(service), pid_(pid) {}
-
-  pid_t pid() const override { return pid_; }
-
-  Result<ExitStatus> Wait() override {
-    if (exited_.has_value()) {
-      return *exited_;
-    }
-    FORKLIFT_ASSIGN_OR_RETURN(ExitStatus st, service_->WaitRemote(pid_));
-    exited_ = st;
-    return st;
-  }
-
-  Result<std::optional<ExitStatus>> TryWait() override { return PollFor(0); }
-
-  Result<std::optional<ExitStatus>> WaitDeadline(double timeout_seconds) override {
-    return PollFor(timeout_seconds);
-  }
-
-  Status Kill(int sig) override {
-    // Re-probe through the server first: once it has reported the exit the
-    // pid may already name a stranger. A worker exiting between this poll
-    // and the kill is an inherent race, but the common stale-pid case —
-    // signaling long after the server reaped — is closed.
-    auto st = PollFor(0);
-    if (!st.ok()) {
-      return Err(st.error());
-    }
-    if (st.value().has_value()) {
-      return LogicalError("remote worker already exited (pid may be recycled)");
-    }
-    if (::kill(pid_, sig) != 0) {
-      return ErrnoError("kill remote worker");
-    }
-    return Status::Ok();
-  }
-
- private:
-  Result<std::optional<ExitStatus>> PollFor(double timeout_seconds) {
-    if (exited_.has_value()) {
-      return exited_;
-    }
-    FORKLIFT_ASSIGN_OR_RETURN(std::optional<ExitStatus> st,
-                              service_->WaitRemoteFor(pid_, timeout_seconds));
-    if (st.has_value()) {
-      exited_ = st;
-    }
-    return st;
-  }
-
-  RemoteSpawnService* service_;
-  pid_t pid_;
-  // Exit status observed through the server; once set, the pid is dead to us
-  // (and possibly recycled), so no further protocol or signal traffic.
-  std::optional<ExitStatus> exited_;
-};
-
-}  // namespace
 
 ShellWorkerPool::~ShellWorkerPool() {
   if (started_) {
@@ -97,40 +28,27 @@ Status ShellWorkerPool::Start(const Options& opts) {
   if (opts.workers == 0) {
     return LogicalError("ShellWorkerPool: need at least one worker");
   }
+  if (::getrandom(&nonce_, sizeof(nonce_), 0) != static_cast<ssize_t>(sizeof(nonce_))) {
+    return ErrnoError("getrandom (worker pool sentinel)");
+  }
   if (!reactor_.has_value()) {
     FORKLIFT_ASSIGN_OR_RETURN(Reactor reactor, Reactor::Create());
     reactor_.emplace(std::move(reactor));
   }
-  if (opts.remote != nullptr) {
-    Status st = StartRemoteWorkers(opts);
-    if (!st.ok()) {
+  Spawner worker_template = Spawner("/bin/sh")
+                                .Arg("-s")
+                                .SetStdin(Stdio::Pipe())
+                                .SetStdout(Stdio::Pipe())
+                                .SetStderr(Stdio::Null());
+  for (size_t i = 0; i < opts.workers; ++i) {
+    auto child = worker_template.Spawn();
+    if (!child.ok()) {
       (void)Stop();
-      return st;
+      return Err(child.error());
     }
-  } else {
-    Spawner worker_template = Spawner("/bin/sh")
-                                  .Arg("-s")
-                                  .SetStdin(Stdio::Pipe())
-                                  .SetStdout(Stdio::Pipe())
-                                  .SetStderr(Stdio::Null())
-                                  .SetBackend(opts.backend);
-    auto spawn_worker = [&]() -> Result<ProcessHandle> {
-      if (opts.service != nullptr) {
-        return opts.service->Spawn(worker_template);
-      }
-      FORKLIFT_ASSIGN_OR_RETURN(Child child, worker_template.Spawn());
-      return ProcessHandle::FromChild(std::move(child));
-    };
-    for (size_t i = 0; i < opts.workers; ++i) {
-      auto handle = spawn_worker();
-      if (!handle.ok()) {
-        (void)Stop();
-        return Err(handle.error());
-      }
-      Worker w;
-      w.child = std::move(handle).value();
-      workers_.push_back(std::move(w));
-    }
+    Worker w;
+    w.child = ProcessHandle::FromChild(std::move(child).value());
+    workers_.push_back(std::move(w));
   }
   // Arm the watches only once workers_ has its final size: the callbacks
   // index into the vector, so no reallocation may follow.
@@ -147,58 +65,8 @@ Status ShellWorkerPool::Start(const Options& opts) {
   return Status::Ok();
 }
 
-Status ShellWorkerPool::StartRemoteWorkers(const Options& opts) {
-  // One kSpawnBatch launches the whole pool. The wire cannot carry pipe
-  // stdio, so each worker's pipes are made locally and the child ends travel
-  // as Stdio::Fd descriptors in the batch frame's SCM_RIGHTS payload; the
-  // parent ends go onto the returned handles. N warm shells then cost one
-  // coalesced submit instead of N spawn round trips.
-  std::vector<Pipe> stdin_pipes;
-  std::vector<Pipe> stdout_pipes;
-  std::vector<SpawnRequest> reqs;
-  stdin_pipes.reserve(opts.workers);
-  stdout_pipes.reserve(opts.workers);
-  reqs.reserve(opts.workers);
-  for (size_t i = 0; i < opts.workers; ++i) {
-    FORKLIFT_ASSIGN_OR_RETURN(Pipe in, MakePipe());
-    FORKLIFT_ASSIGN_OR_RETURN(Pipe out, MakePipe());
-    Spawner s = Spawner("/bin/sh")
-                    .Arg("-s")
-                    .SetStdin(Stdio::Fd(in.read_end.get()))
-                    .SetStdout(Stdio::Fd(out.write_end.get()))
-                    .SetStderr(Stdio::Null());
-    FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, s.BuildRequest());
-    reqs.push_back(std::move(req));
-    // The pipes must outlive the LaunchBatch call: the requests' fd plans
-    // borrow these descriptors until the frame is encoded and sent.
-    stdin_pipes.push_back(std::move(in));
-    stdout_pipes.push_back(std::move(out));
-  }
-  std::vector<Result<pid_t>> pids = opts.remote->LaunchBatch(reqs);
-  Status first_error;
-  for (size_t i = 0; i < pids.size(); ++i) {
-    if (!pids[i].ok()) {
-      if (first_error.ok()) {
-        first_error = Err(pids[i].error());
-      }
-      continue;
-    }
-    Worker w;
-    w.child = ProcessHandle::FromImpl(
-        std::make_unique<RemoteWorkerImpl>(opts.remote, pids[i].value()), "forkserver-batch");
-    w.child.stdin_fd() = std::move(stdin_pipes[i].write_end);
-    w.child.stdout_fd() = std::move(stdout_pipes[i].read_end);
-    workers_.push_back(std::move(w));
-  }
-  // Any worker the batch could not launch fails Start as a unit; the caller's
-  // Stop() tears down the ones that did come up.
-  return first_error;
-}
-
 Result<ShellWorkerPool::TaskResult> ShellWorkerPool::ExecuteOn(Worker& w,
                                                                const std::string& command) {
-  // Frame the task with a unique sentinel carrying the exit code; the worker
-  // shell prints it after running the command, delimiting this task's output.
   // Refuse to write into a dead worker (avoids an EPIPE — or, if the caller
   // has not ignored SIGPIPE, a fatal signal — for the common crash case; a
   // worker dying mid-write is still reported as an error by WriteFull, so
@@ -213,15 +81,22 @@ Result<ShellWorkerPool::TaskResult> ShellWorkerPool::ExecuteOn(Worker& w,
     return LogicalError("worker exited before task dispatch");
   }
 
-  std::string sentinel = "__FORKLIFT_DONE_" + std::to_string(++task_seq_) + "_";
+  // The worker ends its reply with one line of its own: a newline (so the
+  // line starts fresh even when the task's output did not end in one), then
+  // the sentinel and the task's exit code. The sentinel carries the pool's
+  // random nonce, so no task output can forge it, and it is honoured only as
+  // the final complete line of what the worker has written.
+  char sentinel_buf[64];
+  std::snprintf(sentinel_buf, sizeof(sentinel_buf), "__FORKLIFT_DONE_%016" PRIx64 "_%" PRIu64 "_",
+                nonce_, ++task_seq_);
+  const std::string_view sentinel(sentinel_buf);
   // The task runs in a subshell so `exit`, cd, and variable changes cannot
   // alter (or kill) the persistent worker.
-  std::string script =
-      "(\n" + command + "\n)\nprintf '%s%d\\n' '" + sentinel + "' \"$?\"\n";
+  std::string script = "(\n" + command + "\n)\nprintf '\\n%s%d\\n' '" +
+                       std::string(sentinel) + "' \"$?\"\n";
   FORKLIFT_RETURN_IF_ERROR(
       WriteFull(w.child.stdin_fd().get(), script.data(), script.size()));
 
-  TaskResult result;
   std::string acc;
   char buf[4096];
   for (;;) {
@@ -238,17 +113,29 @@ Result<ShellWorkerPool::TaskResult> ShellWorkerPool::ExecuteOn(Worker& w,
       return LogicalError("worker exited mid-task");
     }
     acc.append(buf, static_cast<size_t>(n));
-    size_t pos = acc.find(sentinel);
-    if (pos != std::string::npos) {
-      size_t nl = acc.find('\n', pos);
-      if (nl == std::string::npos) {
-        continue;  // sentinel line not complete yet
-      }
-      result.output = acc.substr(0, pos);
-      result.exit_code = std::stoi(acc.substr(pos + sentinel.size(), nl - pos - sentinel.size()));
-      ++tasks_executed_;
-      return result;
+    // The sentinel line is complete only once the output ends in '\n', and
+    // it must be preceded by the newline the worker printed before it.
+    if (acc.size() < 2 || acc.back() != '\n') {
+      continue;
     }
+    size_t before = acc.rfind('\n', acc.size() - 2);
+    if (before == std::string::npos) {
+      continue;
+    }
+    std::string_view last(acc.data() + before + 1, acc.size() - before - 2);
+    if (last.substr(0, sentinel.size()) != sentinel) {
+      continue;
+    }
+    std::string_view code = last.substr(sentinel.size());
+    TaskResult result;
+    auto [end, ec] = std::from_chars(code.data(), code.data() + code.size(), result.exit_code);
+    if (ec != std::errc() || end != code.data() + code.size()) {
+      w.healthy = false;
+      return LogicalError("worker reply has a malformed exit code: '" + std::string(code) + "'");
+    }
+    result.output = acc.substr(0, before);
+    ++tasks_executed_;
+    return result;
   }
 }
 

@@ -16,30 +16,14 @@
 
 #include "src/common/reactor.h"
 #include "src/common/result.h"
-#include "src/spawn/backend.h"
 #include "src/spawn/process_handle.h"
 
 namespace forklift {
-
-class SpawnService;
-class RemoteSpawnService;
 
 class ShellWorkerPool {
  public:
   struct Options {
     size_t workers = 4;
-    SpawnBackendKind backend = SpawnBackendKind::kForkExec;
-    // When set, workers are launched through this routing layer (not owned,
-    // must outlive the pool) instead of a direct backend spawn. Workers need
-    // pipe stdio, so the service's capability check steers them onto a
-    // pipe-capable (local) route automatically.
-    SpawnService* service = nullptr;
-    // When set (takes precedence over `service`), workers are launched on the
-    // fork server in ONE kSpawnBatch submit: the wire cannot carry pipe
-    // stdio, so the pool makes the pipes locally and ships the child ends as
-    // Stdio::Fd descriptors riding the batch frame's SCM_RIGHTS payload. Not
-    // owned; must outlive the pool (worker waits route back through it).
-    RemoteSpawnService* remote = nullptr;
   };
 
   ShellWorkerPool() = default;
@@ -52,8 +36,8 @@ class ShellWorkerPool {
   Status Start(const Options& opts);
 
   // Runs one shell command on a warm worker (round-robin) and returns its
-  // stdout. The command must be a single line; its exit status is returned
-  // alongside the output.
+  // stdout; its exit status is returned alongside the output. A worker whose
+  // reply cannot be parsed is marked unhealthy and the call fails.
   struct TaskResult {
     int exit_code = 0;
     std::string output;
@@ -75,9 +59,6 @@ class ShellWorkerPool {
   };
 
   Result<TaskResult> ExecuteOn(Worker& w, const std::string& command);
-  // The Options::remote path: builds every worker's request (local pipes,
-  // Stdio::Fd child ends) and launches them all with one LaunchBatch call.
-  Status StartRemoteWorkers(const Options& opts);
 
   // Declared before workers_ so each worker's watch (which deregisters
   // against the reactor) is destroyed first. Execute pumps this reactor
@@ -88,6 +69,9 @@ class ShellWorkerPool {
   size_t next_ = 0;
   uint64_t tasks_executed_ = 0;
   uint64_t task_seq_ = 0;
+  // Random per pool (drawn in Start): a task cannot print the sentinel that
+  // ends its own reply without knowing it.
+  uint64_t nonce_ = 0;
   bool started_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "src/forkserver/protocol.h"
 
-#include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "src/forkserver/fd_transfer.h"
@@ -23,20 +21,15 @@ constexpr uint8_t kOpCloseScratch = 5;
 // Sentinel in the src slot meaning "src is fds[transfer_index]".
 constexpr int32_t kSrcIsTransfer = -2;
 
-// Frame header bytes: {magic, version, type} words plus the v2 request_id.
-constexpr size_t kHeaderSizeV1 = 12;
-constexpr size_t kHeaderSizeV2 = kHeaderSizeV1 + 8;
-
-size_t HeaderSize(const FrameMeta& meta) {
-  return meta.version >= kForkServerProtocolV2 ? kHeaderSizeV2 : kHeaderSizeV1;
-}
+// Frame header bytes: {magic, version, type} words plus the u64 request_id.
+constexpr size_t kHeaderSize = 12 + 8;
 
 // Upper bound on the encoded size of a spawn request, so the writer is sized
 // once and the encode loop below never reallocates. Fixed-width fields are
 // over-counted slightly (optional fields counted as present) — the bound is
 // for reservation, not framing.
 size_t EstimateSpawnRequestSize(const SpawnRequest& request) {
-  size_t n = kHeaderSizeV2;
+  size_t n = kHeaderSize;
   n += 4 + request.program.size() + 1;         // program + use_path_search
   n += 4;                                      // argc
   for (size_t i = 0; i < request.argv.size(); ++i) {
@@ -59,14 +52,10 @@ size_t EstimateSpawnRequestSize(const SpawnRequest& request) {
   return n;
 }
 
-// Appends one spawn body (everything after the header of a kSpawn frame):
-// fields, fd plan, and the trailing fd count. Transfer indices are local to
-// this body — based at the `fds_out` size on entry — so the same encoder
-// serves both the single-spawn frame (base 0) and kSpawnBatch entries.
+// Appends the spawn body (everything after the kSpawn header): fields, fd
+// plan, and the trailing fd count.
 Status EncodeSpawnBodyInto(WireWriter& w, const SpawnRequest& request,
                            std::vector<int>* fds_out) {
-  size_t fd_base = fds_out->size();
-
   w.PutString(request.program);
   w.PutBool(request.use_path_search);
 
@@ -114,7 +103,7 @@ Status EncodeSpawnBodyInto(WireWriter& w, const SpawnRequest& request,
     if (it != transfer_index.end()) {
       return it->second;
     }
-    uint32_t idx = static_cast<uint32_t>(fds_out->size() - fd_base);
+    uint32_t idx = static_cast<uint32_t>(fds_out->size());
     transfer_index[fd] = idx;
     fds_out->push_back(fd);
     return idx;
@@ -163,21 +152,19 @@ Status EncodeSpawnBodyInto(WireWriter& w, const SpawnRequest& request,
   // a frame whose declared fd count the transport then refuses, and leaving
   // fds_out populated on failure would let a caller SCM_RIGHTS a half-built
   // descriptor list for a request that was never encoded.
-  if (fds_out->size() - fd_base > kMaxFdsPerFrame) {
+  if (fds_out->size() > kMaxFdsPerFrame) {
     fds_out->clear();
     return LogicalError("EncodeSpawnRequest: plan references too many descriptors");
   }
-  w.PutU32(static_cast<uint32_t>(fds_out->size() - fd_base));
+  w.PutU32(static_cast<uint32_t>(fds_out->size()));
   return w.status();
 }
 
-// Decodes one spawn body. `fd_base`/`fd_count` name this body's slice of the
-// frame's descriptor list; the body's trailing count must agree with
-// `fd_count`. Does not require the reader to be at end — callers own the
-// surrounding framing.
+// Decodes the spawn body; its trailing fd count must agree with the number of
+// descriptors that arrived. Does not require the reader to be at end — the
+// caller owns the surrounding framing.
 Result<SpawnRequest> DecodeSpawnBody(WireReader& r,
-                                     const std::vector<UniqueFd>& received_fds,
-                                     size_t fd_base, size_t fd_count) {
+                                     const std::vector<UniqueFd>& received_fds) {
   SpawnRequest req;
   FORKLIFT_ASSIGN_OR_RETURN(req.program, r.GetString());
   FORKLIFT_ASSIGN_OR_RETURN(req.use_path_search, r.GetBool());
@@ -246,13 +233,12 @@ Result<SpawnRequest> DecodeSpawnBody(WireReader& r,
   if (nops > 4096) {
     return LogicalError("DecodeSpawnRequest: too many fd ops");
   }
-  auto resolve_src = [&received_fds, fd_base, fd_count](int32_t src,
-                                                        uint32_t idx) -> Result<int> {
+  auto resolve_src = [&received_fds](int32_t src, uint32_t idx) -> Result<int> {
     if (src == kSrcIsTransfer) {
-      if (idx >= fd_count || fd_base + idx >= received_fds.size()) {
+      if (idx >= received_fds.size()) {
         return LogicalError("DecodeSpawnRequest: transfer index out of range");
       }
-      return received_fds[fd_base + idx].get();
+      return received_fds[idx].get();
     }
     if (src < CompiledFdPlan::kScratchBase) {
       return LogicalError("DecodeSpawnRequest: literal source below scratch base");
@@ -313,10 +299,10 @@ Result<SpawnRequest> DecodeSpawnBody(WireReader& r,
     req.fd_plan.ops.push_back(std::move(op));
   }
   FORKLIFT_ASSIGN_OR_RETURN(uint32_t nfds, r.GetU32());
-  if (nfds != fd_count) {
+  if (nfds != received_fds.size()) {
     return LogicalError("DecodeSpawnRequest: fd count mismatch (frame says " +
                         std::to_string(nfds) + ", received " +
-                        std::to_string(fd_count) + ")");
+                        std::to_string(received_fds.size()) + ")");
   }
   return req;
 }
@@ -327,14 +313,12 @@ void EncodeHeaderInto(WireWriter& w, MsgType type, const FrameMeta& meta) {
   w.PutU32(kMagic);
   w.PutU32(meta.version);
   w.PutU32(static_cast<uint32_t>(type));
-  if (meta.version >= kForkServerProtocolV2) {
-    w.PutU64(meta.request_id);
-  }
+  w.PutU64(meta.request_id);
 }
 
 std::string EncodeHeader(MsgType type, const FrameMeta& meta) {
   WireWriter w;
-  w.Reserve(HeaderSize(meta));
+  w.Reserve(kHeaderSize);
   EncodeHeaderInto(w, type, meta);
   return w.Take();
 }
@@ -346,18 +330,16 @@ Result<FrameHeader> DecodeHeader(WireReader& reader) {
   }
   FrameHeader hdr;
   FORKLIFT_ASSIGN_OR_RETURN(hdr.meta.version, reader.GetU32());
-  if (hdr.meta.version != kForkServerProtocolV1 && hdr.meta.version != kForkServerProtocolV2) {
+  if (hdr.meta.version != kForkServerProtocolV2) {
     return LogicalError("protocol: unsupported version " + std::to_string(hdr.meta.version));
   }
   FORKLIFT_ASSIGN_OR_RETURN(uint32_t type, reader.GetU32());
   if (type < static_cast<uint32_t>(MsgType::kSpawn) ||
-      type > static_cast<uint32_t>(MsgType::kSpawnBatch)) {
+      type > static_cast<uint32_t>(MsgType::kStatsReply)) {
     return LogicalError("protocol: unknown message type " + std::to_string(type));
   }
   hdr.type = static_cast<MsgType>(type);
-  if (hdr.meta.version >= kForkServerProtocolV2) {
-    FORKLIFT_ASSIGN_OR_RETURN(hdr.meta.request_id, reader.GetU64());
-  }
+  FORKLIFT_ASSIGN_OR_RETURN(hdr.meta.request_id, reader.GetU64());
   return hdr;
 }
 
@@ -387,124 +369,16 @@ Result<SpawnRequest> DecodeSpawnRequest(std::string_view payload,
   if (hdr.type != MsgType::kSpawn) {
     return LogicalError("DecodeSpawnRequest: wrong message type");
   }
-  FORKLIFT_ASSIGN_OR_RETURN(
-      SpawnRequest req,
-      DecodeSpawnBody(r, received_fds, 0, received_fds.size()));
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, DecodeSpawnBody(r, received_fds));
   if (!r.AtEnd()) {
     return LogicalError("DecodeSpawnRequest: trailing bytes");
   }
   return req;
 }
 
-Status EncodeSpawnBatchInto(WireWriter& w, const std::vector<SpawnRequest>& requests,
-                            std::vector<int>* fds_out, const FrameMeta& meta) {
-  fds_out->clear();
-  if (requests.empty()) {
-    return LogicalError("EncodeSpawnBatch: empty batch");
-  }
-  if (requests.size() > kMaxSpawnBatch) {
-    return LogicalError("EncodeSpawnBatch: batch of " + std::to_string(requests.size()) +
-                        " exceeds cap " + std::to_string(kMaxSpawnBatch));
-  }
-  if (meta.version < kForkServerProtocolV2 || meta.request_id == 0) {
-    return LogicalError("EncodeSpawnBatch: batches require protocol v2 and a base request_id");
-  }
-  size_t estimate = kHeaderSizeV2 + 4;
-  for (const auto& req : requests) {
-    estimate += 4 + EstimateSpawnRequestSize(req);
-  }
-  w.Reserve(w.data().size() + estimate);
-  EncodeHeaderInto(w, MsgType::kSpawnBatch, meta);
-  w.PutU32(static_cast<uint32_t>(requests.size()));
-  for (const auto& req : requests) {
-    size_t len_pos = w.size();
-    w.PutU32(0);  // placeholder, backfilled with the body length
-    FORKLIFT_RETURN_IF_ERROR(EncodeSpawnBodyInto(w, req, fds_out));
-    w.PokeU32(len_pos, static_cast<uint32_t>(w.size() - len_pos - 4));
-  }
-  // Per-entry caps were enforced by the body encoder; the frame-level
-  // ancillary budget is shared by every entry.
-  if (fds_out->size() > kMaxFdsPerFrame) {
-    fds_out->clear();
-    return LogicalError("EncodeSpawnBatch: batch references too many descriptors");
-  }
-  return w.status();
-}
-
-Result<std::vector<SpawnRequest>> DecodeSpawnBatch(std::string_view payload,
-                                                   const std::vector<UniqueFd>& received_fds,
-                                                   FrameMeta* meta) {
-  WireReader r(payload);
-  FORKLIFT_ASSIGN_OR_RETURN(FrameHeader hdr, DecodeHeader(r));
-  if (meta != nullptr) {
-    *meta = hdr.meta;
-  }
-  if (hdr.type != MsgType::kSpawnBatch) {
-    return LogicalError("DecodeSpawnBatch: wrong message type");
-  }
-  if (hdr.meta.version < kForkServerProtocolV2 || hdr.meta.request_id == 0) {
-    return LogicalError("DecodeSpawnBatch: batches require protocol v2 and a base request_id");
-  }
-  FORKLIFT_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  if (count == 0 || count > kMaxSpawnBatch) {
-    return LogicalError("DecodeSpawnBatch: entry count " + std::to_string(count) +
-                        " out of range");
-  }
-  std::vector<SpawnRequest> out;
-  out.reserve(count);
-  size_t fd_off = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    FORKLIFT_ASSIGN_OR_RETURN(uint32_t body_len, r.GetU32());
-    FORKLIFT_ASSIGN_OR_RETURN(std::string_view body, r.GetBytes(body_len));
-    if (body_len < sizeof(uint32_t)) {
-      return LogicalError("DecodeSpawnBatch: entry body too short");
-    }
-    // Each body ends with its own fd count; read it up front to slice this
-    // entry's window of the frame's descriptor list.
-    uint32_t nfds = 0;
-    std::memcpy(&nfds, body.data() + body.size() - sizeof(nfds), sizeof(nfds));
-    if (nfds > kMaxFdsPerFrame || fd_off + nfds > received_fds.size()) {
-      return LogicalError("DecodeSpawnBatch: entry fd count out of range");
-    }
-    WireReader br(body);
-    FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req,
-                              DecodeSpawnBody(br, received_fds, fd_off, nfds));
-    if (!br.AtEnd()) {
-      return LogicalError("DecodeSpawnBatch: trailing bytes in entry");
-    }
-    fd_off += nfds;
-    out.push_back(std::move(req));
-  }
-  if (!r.AtEnd()) {
-    return LogicalError("DecodeSpawnBatch: trailing bytes");
-  }
-  if (fd_off != received_fds.size()) {
-    return LogicalError("DecodeSpawnBatch: fd count mismatch (entries claim " +
-                        std::to_string(fd_off) + ", received " +
-                        std::to_string(received_fds.size()) + ")");
-  }
-  return out;
-}
-
-Result<uint32_t> PeekSpawnBatchCount(std::string_view payload, FrameMeta* meta) {
-  WireReader r(payload);
-  FORKLIFT_ASSIGN_OR_RETURN(FrameHeader hdr, DecodeHeader(r));
-  if (meta != nullptr) {
-    *meta = hdr.meta;
-  }
-  if (hdr.type != MsgType::kSpawnBatch) {
-    return LogicalError("PeekSpawnBatchCount: wrong message type");
-  }
-  FORKLIFT_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  if (count == 0 || count > kMaxSpawnBatch) {
-    return LogicalError("PeekSpawnBatchCount: entry count out of range");
-  }
-  return count;
-}
-
 std::string EncodeSpawnReply(const SpawnReply& reply, const FrameMeta& meta) {
   WireWriter w;
-  w.Reserve(HeaderSize(meta) + 1 + 4 + 4 + 4 + reply.context.size());
+  w.Reserve(kHeaderSize + 1 + 4 + 4 + 4 + reply.context.size());
   EncodeHeaderInto(w, MsgType::kSpawnReply, meta);
   w.PutBool(reply.ok);
   w.PutI32(reply.pid);
@@ -535,7 +409,7 @@ Result<SpawnReply> DecodeSpawnReply(std::string_view payload, FrameMeta* meta) {
 
 std::string EncodeWait(int32_t pid, const FrameMeta& meta) {
   WireWriter w;
-  w.Reserve(HeaderSize(meta) + 4);
+  w.Reserve(kHeaderSize + 4);
   EncodeHeaderInto(w, MsgType::kWait, meta);
   w.PutI32(pid);
   return w.Take();
@@ -559,7 +433,7 @@ Result<int32_t> DecodeWait(std::string_view payload, FrameMeta* meta) {
 
 std::string EncodeWaitReply(const WaitReply& reply, const FrameMeta& meta) {
   WireWriter w;
-  w.Reserve(HeaderSize(meta) + 3 + 4 * 3 + 4 + reply.context.size());
+  w.Reserve(kHeaderSize + 3 + 4 * 3 + 4 + reply.context.size());
   EncodeHeaderInto(w, MsgType::kWaitReply, meta);
   w.PutBool(reply.ok);
   w.PutBool(reply.status.exited);
@@ -596,7 +470,7 @@ Result<WaitReply> DecodeWaitReply(std::string_view payload, FrameMeta* meta) {
 
 std::string EncodeStatsRequest(uint8_t format, const FrameMeta& meta) {
   WireWriter w;
-  w.Reserve(HeaderSize(meta) + 1);
+  w.Reserve(kHeaderSize + 1);
   EncodeHeaderInto(w, MsgType::kStats, meta);
   w.PutU8(format);
   return w.Take();
@@ -620,7 +494,7 @@ Result<uint8_t> DecodeStatsRequest(std::string_view payload, FrameMeta* meta) {
 
 std::string EncodeStatsReply(const StatsReply& reply, const FrameMeta& meta) {
   WireWriter w;
-  w.Reserve(HeaderSize(meta) + 1 + 4 + 4 + reply.context.size() + 4 + reply.body.size());
+  w.Reserve(kHeaderSize + 1 + 4 + 4 + reply.context.size() + 4 + reply.body.size());
   EncodeHeaderInto(w, MsgType::kStatsReply, meta);
   w.PutBool(reply.ok);
   w.PutI32(reply.err);

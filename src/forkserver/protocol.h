@@ -21,15 +21,12 @@
 
 namespace forklift {
 
-// Protocol versions are per-frame: every frame carries the version it was
-// encoded with, and the server answers in the version of the request, so a v1
-// client and a v2 client can share one server (and one channel can in
-// principle mix versions frame by frame). v2 adds a u64 `request_id` after
-// the {magic, version, type} words; replies echo it, which is what lets a
-// client keep many requests in flight and match out-of-order completions.
-inline constexpr uint32_t kForkServerProtocolV1 = 1;
+// Every frame is {magic, version, type, request_id} + payload. Replies echo
+// the request_id, which is what lets a client keep many requests in flight
+// and match out-of-order completions. Version 2 is the only one spoken; a
+// frame claiming any other version is refused (answered with an error frame
+// under request_id 0, which the client treats as channel death).
 inline constexpr uint32_t kForkServerProtocolV2 = 2;
-inline constexpr uint32_t kForkServerProtocolVersion = kForkServerProtocolV2;
 
 enum class MsgType : uint32_t {
   kSpawn = 1,       // client → server: launch this request
@@ -44,13 +41,7 @@ enum class MsgType : uint32_t {
   kNewChannelAck = 10,  // server → client
   kStats = 11,          // client → server: render the metrics registry
   kStatsReply = 12,     // server → client: rendered export (or error)
-  kSpawnBatch = 13,     // client → server: N spawn requests in one frame
 };
-
-// Cap on entries per kSpawnBatch frame. Generous relative to useful burst
-// sizes (the client chunks far below this); exists so a hostile count can't
-// drive allocation.
-inline constexpr uint32_t kMaxSpawnBatch = 1024;
 
 // A SpawnRequest plus the descriptor list its plan references. Local fd
 // numbers in dup2 sources are replaced by indices into `fds` during encoding.
@@ -59,11 +50,11 @@ struct WireSpawnRequest {
   std::vector<int> fds;  // borrowed fds to transfer (encode side)
 };
 
-// Per-frame framing metadata. Defaults encode a v1 frame (request_id is not
-// on the wire), which keeps every pre-pipelining call site byte-identical;
-// pipelining callers pass {kForkServerProtocolV2, id}.
+// Per-frame framing metadata: callers pass {kForkServerProtocolV2, id}. The
+// default (request_id 0) is the uncorrelated frame the server uses to answer
+// a header it could not parse.
 struct FrameMeta {
-  uint32_t version = kForkServerProtocolV1;
+  uint32_t version = kForkServerProtocolV2;
   uint64_t request_id = 0;
 };
 
@@ -74,11 +65,10 @@ struct FrameHeader {
   FrameMeta meta;
 };
 
-// Encodes header {magic, version, type[, request_id]} + typed payload.
+// Encodes header {magic, version, type, request_id} + typed payload.
 void EncodeHeaderInto(class WireWriter& w, MsgType type, const FrameMeta& meta);
 std::string EncodeHeader(MsgType type, const FrameMeta& meta = {});
-// Decodes and validates the header, leaving the reader at the payload. Both
-// protocol versions are accepted; v1 frames decode with request_id == 0.
+// Decodes and validates the header, leaving the reader at the payload.
 Result<FrameHeader> DecodeHeader(class WireReader& reader);
 
 // kSpawn. Returns the payload and fills `fds_out` with the descriptors (in
@@ -98,31 +88,6 @@ Result<std::string> EncodeSpawnRequest(const SpawnRequest& request, std::vector<
 Result<SpawnRequest> DecodeSpawnRequest(std::string_view payload,
                                         const std::vector<UniqueFd>& received_fds,
                                         FrameMeta* meta = nullptr);
-
-// kSpawnBatch: N spawn requests in one frame, amortizing framing and wire
-// syscalls across a burst. Layout after the v2 header: u32 count, then per
-// entry a u32 body length and the same body bytes a kSpawn frame carries (fd
-// transfer indices are LOCAL to the entry; each body ends with its own fd
-// count). The frame's request_id is the BASE of a contiguous range allocated
-// with obs::NextRequestIdRange(count): entry i is answered by an ordinary
-// kSpawnReply under request_id base+i, so batch replies flow through the same
-// completion machinery as single spawns. Batch frames are v2-only — without a
-// request_id there is no way to correlate the N replies.
-Status EncodeSpawnBatchInto(WireWriter& w, const std::vector<SpawnRequest>& requests,
-                            std::vector<int>* fds_out, const FrameMeta& meta);
-
-// Decodes a kSpawnBatch payload. `received_fds` is the concatenation of every
-// entry's descriptors in entry order; each entry's local indices are resolved
-// against its own slice. All-or-nothing: any malformed entry fails the whole
-// frame (the server then answers every slot in the id range with an error).
-Result<std::vector<SpawnRequest>> DecodeSpawnBatch(std::string_view payload,
-                                                   const std::vector<UniqueFd>& received_fds,
-                                                   FrameMeta* meta = nullptr);
-
-// Reads just the header + entry count of a kSpawnBatch frame, so a server
-// whose full decode failed can still address the right number of error
-// replies at the right id range.
-Result<uint32_t> PeekSpawnBatchCount(std::string_view payload, FrameMeta* meta = nullptr);
 
 // kSpawnReply.
 struct SpawnReply {

@@ -281,8 +281,8 @@ void ForkServer::ArmChildExitWatch(pid_t pid) {
   // Eagerly reap the instant the pidfd signals so the zombie is short-lived
   // and the eventual kWait is served from exited_ without blocking — and any
   // wait already parked on this child is answered right here, out of order
-  // with whatever else the channels are doing. ECHILD (already reaped by the
-  // blocking v1 HandleWait path) leaves no cache entry.
+  // with whatever else the channels are doing. A watch that fails to arm
+  // leaves the child to HandleWait's blocking fallback.
   auto watch = ChildWatch::Arm(*reactor_, pid, [this, pid] {
     int raw = 0;
     pid_t reaped = ::waitpid(pid, &raw, WNOHANG);
@@ -387,8 +387,10 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
   WireReader reader(frame.payload);
   auto hdr = DecodeHeader(reader);
   if (!hdr.ok()) {
-    // Unparseable header: there is no version or request_id to echo, so the
-    // error reply is a v1 frame — the one shape every peer can decode.
+    // Unparseable header (bad magic, a version other than 2, an unknown
+    // type): there is no request_id to echo, so the error reply goes out
+    // under request_id 0, which no request can claim — the client treats it
+    // as channel death.
     SpawnReply reply;
     reply.ok = false;
     reply.context = hdr.error().ToString();
@@ -396,18 +398,11 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
     return true;
   }
 
-  // Replies speak the version of the request and echo its request_id: this
-  // per-frame mirroring IS the version negotiation — v1 peers keep their
-  // lockstep framing, v2 peers get correlated out-of-order completions.
+  // Every reply echoes the request's request_id.
   const FrameMeta reply_meta = hdr->meta;
   switch (hdr->type) {
     case MsgType::kSpawn: {
       FORKLIFT_RETURN_IF_ERROR(HandleSpawn(sock, frame.payload, std::move(frame.fds), reply_meta));
-      return true;
-    }
-    case MsgType::kSpawnBatch: {
-      FORKLIFT_RETURN_IF_ERROR(
-          HandleSpawnBatch(sock, frame.payload, std::move(frame.fds), reply_meta));
       return true;
     }
     case MsgType::kWait: {
@@ -518,50 +513,6 @@ Status ForkServer::HandleSpawn(int sock, const std::string& payload,
   return Status::Ok();
 }
 
-Status ForkServer::HandleSpawnBatch(int sock, const std::string& payload,
-                                    std::vector<UniqueFd> fds, const FrameMeta& reply_meta) {
-  // Every outcome must answer each entry in the id range [base, base+count)
-  // with an ordinary kSpawnReply, so the client's per-slot completion
-  // machinery never learns the burst was one frame.
-  const auto answer_all = [this, sock, &reply_meta, &payload](const Error& err) {
-    SpawnReply reply;
-    reply.ok = false;
-    reply.err = err.code();
-    reply.context = err.ToString();
-    // The count peek reads only the header + count word, so it usually
-    // survives whatever broke the full decode and every slot in the range
-    // gets its error. If even the count is unreadable, answer with an
-    // uncorrelated v1 error frame: hanging N slots forever is worse than the
-    // client tearing the channel down.
-    auto count = PeekSpawnBatchCount(payload);
-    if (!count.ok()) {
-      QueueReply(sock, EncodeSpawnReply(reply));
-      return;
-    }
-    for (uint32_t i = 0; i < *count; ++i) {
-      FrameMeta meta{reply_meta.version, reply_meta.request_id + i};
-      QueueReply(sock, EncodeSpawnReply(reply, meta));
-    }
-  };
-
-  auto high_fds = RelocateFds(std::move(fds));
-  if (!high_fds.ok()) {
-    answer_all(high_fds.error());
-    return Status::Ok();
-  }
-  auto reqs = DecodeSpawnBatch(payload, *high_fds);
-  if (!reqs.ok()) {
-    answer_all(reqs.error());
-    return Status::Ok();
-  }
-  for (size_t i = 0; i < reqs->size(); ++i) {
-    SpawnReply reply = LaunchDecoded((*reqs)[i]);
-    FrameMeta meta{reply_meta.version, reply_meta.request_id + static_cast<uint64_t>(i)};
-    QueueReply(sock, EncodeSpawnReply(reply, meta));
-  }
-  return Status::Ok();
-}
-
 Status ForkServer::HandleStats(int sock, const std::string& payload,
                                const FrameMeta& reply_meta) {
   obs::MetricsRegistry::Global().GetCounter("forklift_forkserver_stats_requests_total")
@@ -610,21 +561,20 @@ Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameM
       reply.status = cached->second;
       exited_.erase(cached);
       live_children_.erase(p);
-    } else if (reply_meta.version >= kForkServerProtocolV2 && watches_.count(p) > 0) {
-      // Not yet exited, and the caller can correlate an out-of-order reply:
-      // park the wait on the child's exit watch and keep the channel moving.
-      // The reply is sent by CompleteParkedWaits when the pidfd fires.
+    } else if (watches_.count(p) > 0) {
+      // Not yet exited: park the wait on the child's exit watch and keep the
+      // channel moving. The reply is sent by CompleteParkedWaits when the
+      // pidfd fires.
       parked_waits_[p].push_back(ParkedWait{sock, reply_meta});
       return Status::Ok();
     } else {
-      // v1 peer (lockstep framing — an out-of-order park would desequence its
-      // replies) or a child whose exit watch failed to arm: disarm the watch
-      // (we are about to steal its reap) and block. This stalls all channels —
-      // the documented trade for v1 compatibility. Flush anything already
-      // queued on this channel first: a coalesced burst's earlier replies
-      // must not sit unsent behind a potentially unbounded child lifetime.
+      // The child's exit watch failed to arm, so nothing will wake the
+      // reactor on its exit (and no wait can be parked on it): reap it here
+      // with a blocking wait. This stalls every channel until the child
+      // exits. Flush anything already queued on this channel first: a
+      // coalesced burst's earlier replies must not sit unsent behind a
+      // potentially unbounded child lifetime.
       FORKLIFT_RETURN_IF_ERROR(FlushReplies(sock));
-      watches_.erase(p);
       auto st = WaitForExit(p);
       if (!st.ok()) {
         reply.ok = false;
@@ -634,10 +584,6 @@ Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameM
         reply.ok = true;
         reply.status = *st;
         live_children_.erase(p);
-        // Any v2 waits parked on the same child complete with the status this
-        // blocking reap just obtained — the exit watch it displaced will
-        // never fire.
-        CompleteParkedWaits(p, *st);
       }
     }
   }

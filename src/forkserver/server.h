@@ -15,11 +15,12 @@
 // the daemon listener, and a pidfd per live child — so a child's exit is
 // observed (and its status cached for the eventual kWait) without any
 // polling tick. Single-threaded by design: a zygote must stay small and must
-// not hold locks across its forks. Replies are answered out of order: a
-// protocol-v2 kWait for a child that has not yet exited parks on that child's
-// pidfd watch and is answered when the exit is observed, so it never blocks
-// the channel; only a v1 kWait still takes the historical blocking path (the
-// documented single-thread trade for v1 peers).
+// not hold locks across its forks. Replies are answered out of order: a kWait
+// for a child that has not yet exited parks on that child's pidfd watch and
+// is answered when the exit is observed, so it never blocks the channel. The
+// one blocking path left is the fallback for a child whose exit watch failed
+// to arm: with nothing to wake the reactor on its exit, the kWait reaps it
+// with a blocking waitpid, stalling every channel until the child exits.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
 
@@ -80,7 +81,7 @@ class ForkServer {
   }
 
  private:
-  // A v2 kWait for a live child, parked until its pidfd watch fires.
+  // A kWait for a live child, parked until its pidfd watch fires.
   struct ParkedWait {
     int sock = -1;
     FrameMeta meta;
@@ -99,8 +100,6 @@ class ForkServer {
   Result<bool> HandleFrame(int sock, struct Frame frame);
   Status HandleSpawn(int sock, const std::string& payload, std::vector<UniqueFd> fds,
                      const FrameMeta& reply_meta);
-  Status HandleSpawnBatch(int sock, const std::string& payload, std::vector<UniqueFd> fds,
-                          const FrameMeta& reply_meta);
   Status HandleWait(int sock, const std::string& payload, const FrameMeta& reply_meta);
   Status HandleStats(int sock, const std::string& payload, const FrameMeta& reply_meta);
   // Dups every received descriptor above the plan-reachable range

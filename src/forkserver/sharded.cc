@@ -29,43 +29,8 @@ obs::Gauge LiveShardsGauge() {
   return obs::MetricsRegistry::Global().GetGauge("forklift_shards_live");
 }
 
-}  // namespace
-
-Result<std::unique_ptr<ShardedForkServer>> ShardedForkServer::Start(const Options& options) {
-  Options opts = options;
-  if (opts.shards == 0) {
-    opts.shards = OnlineCpuCount();
-  }
-  std::unique_ptr<ShardedForkServer> pool(new ShardedForkServer(opts));
-  std::lock_guard<std::mutex> lock(pool->mu_);
-  pool->shards_.resize(opts.shards);
-  for (size_t i = 0; i < opts.shards; ++i) {
-    // Forking under mu_ is safe by construction: the server child never
-    // touches pool state (it close-ranges inherited fds and serves its own
-    // socket), so the inherited locked mutex is dead weight, not a deadlock.
-    Status started = pool->StartShardLocked(i);  // forklint:ignore(R9)
-    if (!started.ok()) {
-      // Roll back the shards already running so a failed Start leaks neither
-      // processes nor sockets.
-      for (size_t j = 0; j < i; ++j) {
-        Shard& shard = pool->shards_[j];
-        if (shard.client != nullptr) {
-          (void)shard.client->Shutdown();
-          shard.client.reset();
-          LiveShardsGauge().Add(-1);
-        }
-        pool->ReapShardLocked(j);
-      }
-      pool->shut_down_ = true;
-      return Err(started.error());
-    }
-  }
-  return pool;
-}
-
-ShardedForkServer::~ShardedForkServer() { (void)Shutdown(); }
-
-Status ShardedForkServer::StartShardLocked(size_t idx) {
+// Forks one shard's server process.
+Result<ForkServerHandle> ForkShard() {
   // Models the socketpair/fork resources the shard start is about to claim;
   // the sweep drives this site to prove a failed shard start (initial or
   // restart) degrades cleanly instead of wedging the pool.
@@ -74,13 +39,60 @@ Status ShardedForkServer::StartShardLocked(size_t idx) {
     errno = inj.err;
     return ErrnoError("sharded forkserver: starting shard");
   }
-  FORKLIFT_ASSIGN_OR_RETURN(ForkServerHandle handle, StartForkServerProcess());
+  return StartForkServerProcess();
+}
+
+}  // namespace
+
+Result<std::unique_ptr<ShardedForkServer>> ShardedForkServer::Start(const Options& options) {
+  Options opts = options;
+  if (opts.shards == 0) {
+    opts.shards = OnlineCpuCount();
+  }
+  // Fork every shard before opening any channel. Each channel starts a
+  // receiver thread, and a shard forked while that thread is inside the
+  // allocator inherits an allocator lock nobody will release: the zygote
+  // then hangs on its first allocation. (A restart still forks from a
+  // threaded process.)
+  std::vector<ForkServerHandle> handles;
+  handles.reserve(opts.shards);
+  for (size_t i = 0; i < opts.shards; ++i) {
+    auto handle = ForkShard();
+    if (!handle.ok()) {
+      // Roll back the shards already forked so a failed Start leaks neither
+      // processes nor sockets.
+      for (ForkServerHandle& forked : handles) {
+        forked.client_sock.Reset();
+        (void)::kill(forked.server_pid, SIGKILL);
+        (void)WaitForExit(forked.server_pid);
+      }
+      return Err(handle.error());
+    }
+    handles.push_back(std::move(*handle));
+  }
+  std::unique_ptr<ShardedForkServer> pool(new ShardedForkServer(opts));
+  std::lock_guard<std::mutex> lock(pool->mu_);
+  pool->shards_.resize(opts.shards);
+  for (size_t i = 0; i < opts.shards; ++i) {
+    pool->AdoptShardLocked(i, std::move(handles[i]));
+  }
+  return pool;
+}
+
+ShardedForkServer::~ShardedForkServer() { (void)Shutdown(); }
+
+Status ShardedForkServer::StartShardLocked(size_t idx) {
+  FORKLIFT_ASSIGN_OR_RETURN(ForkServerHandle handle, ForkShard());
+  AdoptShardLocked(idx, std::move(handle));
+  return Status::Ok();
+}
+
+void ShardedForkServer::AdoptShardLocked(size_t idx, ForkServerHandle handle) {
   Shard& shard = shards_[idx];
   shard.client = std::make_shared<ForkServerClient>(std::move(handle.client_sock));
   shard.server_pid = handle.server_pid;
   ++shard.generation;
   LiveShardsGauge().Add(1);
-  return Status::Ok();
 }
 
 void ShardedForkServer::ReapShardLocked(size_t idx) {
@@ -236,70 +248,6 @@ Result<pid_t> ShardedForkServer::LaunchRequest(const SpawnRequest& req) {
   return pending.AwaitPid();
 }
 
-std::vector<Result<pid_t>> ShardedForkServer::LaunchBatch(const std::vector<SpawnRequest>& reqs) {
-  std::vector<Result<pid_t>> out;
-  if (reqs.empty()) {
-    return out;
-  }
-  Status last_error = Status::Ok();
-  // Same retry contract as LaunchAsync: a batch submit failure is pre-wire
-  // (no frame reached a healthy channel), so one re-route cannot double-fork.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    size_t idx;
-    uint64_t generation;
-    std::shared_ptr<ForkServerClient> client;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shut_down_) {
-        last_error = LogicalError("sharded forkserver: already shut down");
-        break;
-      }
-      auto routed = RouteLocked();  // forklint:ignore(R9) — see StartShardLocked
-      if (!routed.ok()) {
-        last_error = Err(routed.error());
-        break;
-      }
-      idx = *routed;
-      generation = shards_[idx].generation;
-      client = shards_[idx].client;
-    }
-    auto batch = client->LaunchBatchAsync(reqs);
-    if (!batch.ok()) {
-      if (client->dead()) {
-        last_error = Err(batch.error());
-        NoteShardFailure(idx, generation);
-        continue;
-      }
-      // The channel is healthy: the frame format rejected the burst (entry
-      // or fd caps). Degrade to per-request routing instead of failing it.
-      return RemoteSpawnService::LaunchBatch(reqs);
-    }
-    obs::Tracer::Global().Event(obs::NextRequestId(), "shard.dispatch_batch",
-                                "shard=" + std::to_string(idx) +
-                                    " n=" + std::to_string(reqs.size()));
-    out.reserve(reqs.size());
-    bool channel_died = false;
-    for (ForkServerClient::PendingReply& pending : *batch) {
-      auto pid = pending.AwaitPid();
-      if (pid.ok()) {
-        RegisterChild(*pid, idx, generation);
-      } else if (client->dead()) {
-        channel_died = true;
-      }
-      out.push_back(std::move(pid));
-    }
-    if (channel_died) {
-      NoteShardFailure(idx, generation);
-    }
-    return out;
-  }
-  out.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(Err(last_error.error()));
-  }
-  return out;
-}
-
 Result<ExitStatus> ShardedForkServer::WaitRemote(pid_t pid) {
   size_t idx;
   uint64_t generation;
@@ -331,48 +279,6 @@ Result<ExitStatus> ShardedForkServer::WaitRemote(pid_t pid) {
     NoteShardFailure(idx, generation);
   }
   return status;
-}
-
-Result<std::optional<ExitStatus>> ShardedForkServer::WaitRemoteFor(pid_t pid,
-                                                                   double timeout_seconds) {
-  size_t idx;
-  uint64_t generation;
-  std::shared_ptr<ForkServerClient> client;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = owner_.find(pid);
-    if (it == owner_.end()) {
-      return Err(Error(ECHILD, "sharded forkserver: pid " + std::to_string(pid) +
-                                   " is not owned by any live shard"));
-    }
-    idx = it->second.first;
-    generation = it->second.second;
-    if (shards_[idx].generation != generation || shards_[idx].client == nullptr) {
-      owner_.erase(it);
-      return Err(Error(ECHILD, "sharded forkserver: owning shard of pid " +
-                                   std::to_string(pid) + " is gone"));
-    }
-    client = shards_[idx].client;
-  }
-  auto status = client->WaitRemoteFor(pid, timeout_seconds);
-  bool channel_died = client->dead();
-  client.reset();
-  if (!status.ok() || status.value().has_value()) {
-    // Completed (or the wait is unrecoverable): the ownership entry has
-    // served its purpose. A timed-out poll keeps it for the next poll.
-    std::lock_guard<std::mutex> lock(mu_);
-    owner_.erase(pid);
-  }
-  if (!status.ok() && channel_died) {
-    NoteShardFailure(idx, generation);
-  }
-  return status;
-}
-
-Result<RemoteChild> ShardedForkServer::Spawn(const Spawner& spawner) {
-  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
-  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, LaunchRequest(req));
-  return RemoteChild(this, pid);
 }
 
 Status ShardedForkServer::Ping() {

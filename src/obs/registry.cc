@@ -303,10 +303,7 @@ void MetricsRegistry::ResetAllForTest() {
   }
 }
 
-uint64_t NextRequestId() { return NextRequestIdRange(1); }
-
-uint64_t NextRequestIdRange(uint64_t n) {
-  if (n == 0) n = 1;
+uint64_t NextRequestId() {
   Arena* arena;
   {
     std::lock_guard<std::mutex> lock(g_mu);
@@ -316,9 +313,9 @@ uint64_t NextRequestIdRange(uint64_t n) {
     // Arena allocation failed: fall back to a process-local allocator so ids
     // stay unique (and nonzero) within this process at least.
     static std::atomic<uint64_t> local{0};
-    return local.fetch_add(n, std::memory_order_relaxed) + 1;
+    return local.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  return arena->next_request_id.fetch_add(n, std::memory_order_relaxed) + 1;
+  return arena->next_request_id.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 }  // namespace obs

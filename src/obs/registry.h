@@ -149,12 +149,6 @@ class MetricsRegistry {
 // never returns 0.
 uint64_t NextRequestId();
 
-// Allocates `n` consecutive ids in one fetch_add and returns the first.
-// kSpawnBatch frames carry one base id; entry i is answered under base+i, so
-// the whole range must come from the same allocator that single spawns use.
-// n == 0 is treated as 1.
-uint64_t NextRequestIdRange(uint64_t n);
-
 }  // namespace obs
 }  // namespace forklift
 

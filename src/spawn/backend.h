@@ -3,8 +3,7 @@
 //
 // The paper compares fork+exec, vfork+exec, and posix_spawn; forklift makes
 // them interchangeable engines behind one API so every experiment can hold the
-// workload constant and vary only the creation primitive. A custom backend
-// hook lets higher layers (the fork server) plug in without a dependency cycle.
+// workload constant and vary only the creation primitive.
 #ifndef SRC_SPAWN_BACKEND_H_
 #define SRC_SPAWN_BACKEND_H_
 
@@ -26,7 +25,6 @@ enum class SpawnBackendKind {
   kVfork,       // vfork(2) + execve(2): shares the AS, parent suspended
   kPosixSpawn,  // posix_spawn(3): the paper's recommended replacement
   kCloneVm,     // clone(CLONE_VM|CLONE_VFORK): glibc posix_spawn's own engine
-  kCustom,      // user-provided engine (e.g. forkserver::ForkServerBackend)
 };
 
 const char* SpawnBackendKindName(SpawnBackendKind kind);

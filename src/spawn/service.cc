@@ -22,8 +22,6 @@ const char* LocalRouteName(SpawnBackendKind kind) {
       return "local:posix_spawn";
     case SpawnBackendKind::kCloneVm:
       return "local:clone3";
-    case SpawnBackendKind::kCustom:
-      return "local:custom";
   }
   return "local:?";
 }

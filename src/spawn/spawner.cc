@@ -133,15 +133,6 @@ Spawner& Spawner::AddRlimit(int resource, rlim_t soft, rlim_t hard) {
 
 Spawner& Spawner::SetBackend(SpawnBackendKind kind) {
   backend_kind_ = kind;
-  if (kind != SpawnBackendKind::kCustom) {
-    custom_backend_ = nullptr;
-  }
-  return *this;
-}
-
-Spawner& Spawner::SetCustomBackend(SpawnBackend* backend) {
-  custom_backend_ = backend;
-  backend_kind_ = SpawnBackendKind::kCustom;
   return *this;
 }
 
@@ -423,12 +414,9 @@ Result<Child> Spawner::Spawn() {
     case SpawnBackendKind::kCloneVm:
       backend = &Clone3Backend();
       break;
-    case SpawnBackendKind::kCustom:
-      backend = custom_backend_;
-      break;
   }
   if (backend == nullptr) {
-    return LogicalError("Spawn: no backend configured");
+    return LogicalError("Spawn: unknown backend kind");
   }
 
   FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, backend->Launch(req));

@@ -132,8 +132,6 @@ class Spawner {
 
   // --- engine selection ---
   Spawner& SetBackend(SpawnBackendKind kind);
-  // Non-owning; must outlive Spawn(). Implies kCustom.
-  Spawner& SetCustomBackend(SpawnBackend* backend);
 
   // Resolves the builder into a SpawnRequest without launching (used by the
   // fork server's client to ship the request over the wire). Pipe stdio specs
@@ -180,7 +178,6 @@ class Spawner {
   std::vector<RlimitSpec> rlimits_;
 
   SpawnBackendKind backend_kind_ = SpawnBackendKind::kForkExec;
-  SpawnBackend* custom_backend_ = nullptr;
 };
 
 }  // namespace forklift

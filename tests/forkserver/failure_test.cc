@@ -34,9 +34,9 @@ TEST(ForkServerFailureTest, SpawnAgainstDeadServerFailsCleanly) {
   ASSERT_TRUE(WaitForExit(handle->server_pid).ok());
 
   ForkServerClient client(std::move(handle->client_sock));
-  Spawner s("/bin/true");
-  auto child = client.Spawn(s);
-  EXPECT_FALSE(child.ok());  // EOF or EPIPE — never a hang
+  auto req = Spawner("/bin/true").BuildRequest();
+  ASSERT_TRUE(req.ok());
+  EXPECT_FALSE(client.LaunchRequest(*req).ok());  // EOF or EPIPE — never a hang
 }
 
 TEST(ForkServerFailureTest, PingAfterServerCrashFails) {
@@ -71,15 +71,16 @@ TEST(ForkServerFailureTest, ServerSurvivesSpawnOfMissingBinary) {
   auto handle = StartForkServerProcess();
   ASSERT_TRUE(handle.ok());
   ForkServerClient client(std::move(handle->client_sock));
+  auto bad = Spawner("/no/such/thing").BuildRequest();
+  ASSERT_TRUE(bad.ok());
   for (int i = 0; i < 3; ++i) {
-    Spawner bad("/no/such/thing");
-    auto child = client.Spawn(bad);
-    EXPECT_FALSE(child.ok());
+    EXPECT_FALSE(client.LaunchRequest(*bad).ok());
   }
-  Spawner good("/bin/true");
-  auto child = client.Spawn(good);
-  ASSERT_TRUE(child.ok());
-  EXPECT_TRUE(child->Wait().value().Success());
+  auto good = Spawner("/bin/true").BuildRequest();
+  ASSERT_TRUE(good.ok());
+  auto pid = client.LaunchRequest(*good);
+  ASSERT_TRUE(pid.ok());
+  EXPECT_TRUE(client.WaitRemote(*pid).value().Success());
   ASSERT_TRUE(client.Shutdown().ok());
   ASSERT_TRUE(WaitForExit(handle->server_pid).ok());
 }
@@ -107,6 +108,30 @@ TEST(WorkerPoolFailureTest, KilledWorkerIsDetectedAndRoutedAround) {
     }
   }
   EXPECT_GE(successes, 5);
+}
+
+// A task's own output must never be taken for the end of its reply, however
+// much it looks like the pool's sentinel: it is reported verbatim, with the
+// task's real exit code.
+TEST(WorkerPoolFailureTest, OutputMimickingTheSentinelIsPlainOutput) {
+  ShellWorkerPool pool;
+  ASSERT_TRUE(pool.Start({.workers = 1}).ok());
+  auto bare = pool.Execute("echo __FORKLIFT_DONE_1_");
+  ASSERT_TRUE(bare.ok()) << bare.error().ToString();
+  EXPECT_EQ(bare->output, "__FORKLIFT_DONE_1_\n");
+  EXPECT_EQ(bare->exit_code, 0);
+
+  auto coded = pool.Execute("echo __FORKLIFT_DONE_2_5; echo after; exit 3");
+  ASSERT_TRUE(coded.ok()) << coded.error().ToString();
+  EXPECT_EQ(coded->output, "__FORKLIFT_DONE_2_5\nafter\n");
+  EXPECT_EQ(coded->exit_code, 3);
+
+  // Output without a trailing newline keeps its last line intact.
+  auto partial = pool.Execute("printf 'no newline'");
+  ASSERT_TRUE(partial.ok()) << partial.error().ToString();
+  EXPECT_EQ(partial->output, "no newline");
+  EXPECT_EQ(partial->exit_code, 0);
+  EXPECT_EQ(pool.tasks_executed(), 3u);
 }
 
 TEST(WorkerPoolFailureTest, AllWorkersDeadIsTerminalError) {

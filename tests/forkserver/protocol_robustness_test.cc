@@ -172,7 +172,7 @@ TEST(ProtocolRobustnessTest, EveryMessageTypeRoundTrips) {
     auto hdr = DecodeHeader(reader);
     ASSERT_TRUE(hdr.ok());
     EXPECT_EQ(hdr->type, t);
-    EXPECT_EQ(hdr->meta.version, kForkServerProtocolV1);
+    EXPECT_EQ(hdr->meta.version, kForkServerProtocolV2);
     EXPECT_EQ(hdr->meta.request_id, 0u);
     EXPECT_TRUE(reader.AtEnd());
   }
@@ -180,8 +180,10 @@ TEST(ProtocolRobustnessTest, EveryMessageTypeRoundTrips) {
 
 // --- truncation at every byte offset, for every message type ---
 
-void ExpectAllTruncationsRejected(const std::string& payload, const char* what,
-                                  size_t header_size = 12) {
+// Header bytes: {magic, version, type} words plus the u64 request_id.
+constexpr size_t kHeaderSize = 20;
+
+void ExpectAllTruncationsRejected(const std::string& payload, const char* what) {
   std::vector<UniqueFd> no_fds;
   for (size_t len = 0; len < payload.size(); ++len) {
     std::string cut = payload.substr(0, len);
@@ -191,7 +193,7 @@ void ExpectAllTruncationsRejected(const std::string& payload, const char* what,
     EXPECT_FALSE(DecodeWaitReply(cut).ok()) << what << " cut at " << len;
     WireReader reader(cut);
     auto hdr = DecodeHeader(reader);
-    if (len >= header_size) {
+    if (len >= kHeaderSize) {
       // Full header survives a payload truncation; the typed decode above
       // already proved the body is rejected.
       continue;
@@ -201,39 +203,31 @@ void ExpectAllTruncationsRejected(const std::string& payload, const char* what,
 }
 
 TEST(ProtocolRobustnessTest, TruncationAtEveryOffsetRejected) {
+  // Any cut inside the 20-byte header — the request_id included — must
+  // reject the header, not read past the end.
+  const FrameMeta meta{kForkServerProtocolV2, 0x0123456789abcdefull};
   ExpectAllTruncationsRejected(SampleSpawnPayload(), "spawn request");
   ExpectAllTruncationsRejected(SampleSpawnReply(), "spawn reply");
-  ExpectAllTruncationsRejected(EncodeWait(777), "wait");
+  ExpectAllTruncationsRejected(EncodeWait(777, meta), "wait");
   ExpectAllTruncationsRejected(SampleWaitReply(), "wait reply");
-  ExpectAllTruncationsRejected(EncodeControl(MsgType::kPing), "ping");
+  ExpectAllTruncationsRejected(EncodeControl(MsgType::kPing, meta), "ping");
 }
 
-TEST(ProtocolRobustnessTest, TruncationAtEveryOffsetRejectedV2) {
-  // The v2 header is 20 bytes (12-byte v1 header + u64 request_id); any cut
-  // inside the request_id must reject the header, not read past the end.
-  const FrameMeta meta{kForkServerProtocolV2, 0x0123456789abcdefull};
-  ExpectAllTruncationsRejected(EncodeWait(777, meta), "wait v2", 20);
-  ExpectAllTruncationsRejected(EncodeControl(MsgType::kPing, meta), "ping v2", 20);
-  SpawnReply reply;
-  reply.ok = false;
-  reply.err = ENOENT;
-  reply.context = "child execve";
-  ExpectAllTruncationsRejected(EncodeSpawnReply(reply, meta), "spawn reply v2", 20);
-}
-
-// --- single-bit corruption of the 12-byte header (magic, version, type) ---
+// --- single-bit corruption of the header's magic, version and type words ---
 
 TEST(ProtocolRobustnessTest, HeaderBitFlipsNeverCrashTypedDecoders) {
+  const FrameMeta meta{kForkServerProtocolV2, 7};
   const std::string payloads[] = {SampleSpawnPayload(), SampleSpawnReply(),
-                                  EncodeWait(777), SampleWaitReply()};
+                                  EncodeWait(777, meta), SampleWaitReply()};
   std::vector<UniqueFd> no_fds;
   for (const std::string& base : payloads) {
-    ASSERT_GE(base.size(), 12u);
+    ASSERT_GE(base.size(), kHeaderSize);
     for (size_t bit = 0; bit < 12 * 8; ++bit) {
       std::string mutated = base;
       mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-      // A flipped header can never satisfy a typed decoder: magic, version, or
-      // expected type no longer matches. The decode must fail cleanly.
+      // A flipped header can never satisfy a typed decoder: magic, version
+      // (there is only one), or expected type no longer matches. The decode
+      // must fail cleanly.
       EXPECT_FALSE(DecodeSpawnRequest(mutated, no_fds).ok()) << "bit " << bit;
       EXPECT_FALSE(DecodeSpawnReply(mutated).ok()) << "bit " << bit;
       EXPECT_FALSE(DecodeWait(mutated).ok()) << "bit " << bit;
@@ -245,7 +239,8 @@ TEST(ProtocolRobustnessTest, HeaderBitFlipsNeverCrashTypedDecoders) {
 TEST(ProtocolRobustnessTest, HeaderBitFlipsOnControlFramesAreSafe) {
   for (MsgType t : {MsgType::kPing, MsgType::kShutdown}) {
     const std::string base = EncodeControl(t);
-    for (size_t bit = 0; bit < base.size() * 8; ++bit) {
+    // The request_id's bits are RequestIdBitFlipsDecodeWithDifferentId's.
+    for (size_t bit = 0; bit < 12 * 8; ++bit) {
       std::string mutated = base;
       mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
       WireReader reader(mutated);
@@ -261,7 +256,7 @@ TEST(ProtocolRobustnessTest, HeaderBitFlipsOnControlFramesAreSafe) {
   }
 }
 
-// --- protocol v2: request-id correlation and version negotiation ---
+// --- request-id correlation and version checking ---
 
 TEST(ProtocolRobustnessTest, V2FramesRoundTripRequestId) {
   const FrameMeta meta{kForkServerProtocolV2, 0xdeadbeef12345678ull};
@@ -319,39 +314,17 @@ TEST(ProtocolRobustnessTest, V2FramesRoundTripRequestId) {
   }
 }
 
-TEST(ProtocolRobustnessTest, V1FramesDecodeAsVersion1WithRequestIdZero) {
-  // Negotiation is per-frame: a v1 peer's frames must keep decoding exactly
-  // as before, and the meta out-param must be reset, not left stale.
-  FrameMeta got;
-  got.version = kForkServerProtocolV2;
-  got.request_id = 99;
-  auto pid = DecodeWait(EncodeWait(777), &got);
-  ASSERT_TRUE(pid.ok());
-  EXPECT_EQ(*pid, 777);
-  EXPECT_EQ(got.version, kForkServerProtocolV1);
-  EXPECT_EQ(got.request_id, 0u);
-}
-
 TEST(ProtocolRobustnessTest, UnknownVersionRejected) {
-  // Claim version 3 (bytes 4..7, little-endian) on an otherwise valid frame.
-  std::string payload = EncodeWait(777);
-  payload[4] = 3;
-  EXPECT_FALSE(DecodeWait(payload).ok());
-  WireReader reader(payload);
-  EXPECT_FALSE(DecodeHeader(reader).ok());
-}
-
-TEST(ProtocolRobustnessTest, V2HeaderBitFlipsNeverCrashTypedDecoders) {
-  // Same property as the v1 test, over a v2 frame's magic/version/type bytes.
-  // Version 2 and 1 differ in two bits, so no single flip can downgrade a
-  // frame to the other version; a flip always breaks the typed decode.
-  const FrameMeta meta{kForkServerProtocolV2, 7};
-  const std::string base = EncodeWait(777, meta);
-  ASSERT_GE(base.size(), 20u);
-  for (size_t bit = 0; bit < 12 * 8; ++bit) {
-    std::string mutated = base;
-    mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    EXPECT_FALSE(DecodeWait(mutated).ok()) << "bit " << bit;
+  // Claim version 1 (the retired 12-byte-header protocol) or 3 (bytes 4..7,
+  // little-endian) on an otherwise valid frame.
+  for (int version : {1, 3}) {
+    std::string payload = EncodeWait(777);
+    payload[4] = static_cast<char>(version);
+    EXPECT_FALSE(DecodeWait(payload).ok()) << "version " << version;
+    WireReader reader(payload);
+    auto hdr = DecodeHeader(reader);
+    ASSERT_FALSE(hdr.ok()) << "version " << version;
+    EXPECT_NE(hdr.error().ToString().find("unsupported version"), std::string::npos);
   }
 }
 
@@ -361,8 +334,8 @@ TEST(ProtocolRobustnessTest, RequestIdBitFlipsDecodeWithDifferentId) {
   // (so the client drops, not mis-correlates, the reply).
   const FrameMeta meta{kForkServerProtocolV2, 0x0123456789abcdefull};
   const std::string base = EncodeWait(777, meta);
-  ASSERT_GE(base.size(), 20u);
-  for (size_t bit = 12 * 8; bit < 20 * 8; ++bit) {
+  ASSERT_GE(base.size(), kHeaderSize);
+  for (size_t bit = 12 * 8; bit < kHeaderSize * 8; ++bit) {
     std::string mutated = base;
     mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
     FrameMeta got;
@@ -428,13 +401,11 @@ TEST(ProtocolRobustnessTest, StatsRejectsTrailingBytes) {
 
 TEST(ProtocolRobustnessTest, StatsTruncationAtEveryOffsetRejected) {
   const FrameMeta meta{kForkServerProtocolV2, 42};
-  ExpectAllTruncationsRejected(EncodeStatsRequest(1), "stats request");
-  ExpectAllTruncationsRejected(EncodeStatsRequest(1, meta), "stats request v2", 20);
+  ExpectAllTruncationsRejected(EncodeStatsRequest(1, meta), "stats request");
   StatsReply sample;
   sample.ok = true;
   sample.body = "forklift_spawns_total 3\n";
-  ExpectAllTruncationsRejected(EncodeStatsReply(sample), "stats reply");
-  ExpectAllTruncationsRejected(EncodeStatsReply(sample, meta), "stats reply v2", 20);
+  ExpectAllTruncationsRejected(EncodeStatsReply(sample, meta), "stats reply");
   // The typed stats decoders must also reject every cut of their own frames.
   for (const std::string& base : {EncodeStatsRequest(1, meta), EncodeStatsReply(sample, meta)}) {
     for (size_t len = 0; len < base.size(); ++len) {
@@ -451,7 +422,7 @@ TEST(ProtocolRobustnessTest, StatsHeaderBitFlipsNeverCrashTypedDecoders) {
   sample.ok = true;
   sample.body = "x 1\n";
   for (const std::string& base : {EncodeStatsRequest(0, meta), EncodeStatsReply(sample, meta)}) {
-    ASSERT_GE(base.size(), 20u);
+    ASSERT_GE(base.size(), kHeaderSize);
     for (size_t bit = 0; bit < 12 * 8; ++bit) {
       std::string mutated = base;
       mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));

@@ -7,12 +7,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
+#include "src/faultinject/faultinject.h"
 #include "src/forkserver/client.h"
 #include "src/forkserver/pool.h"
 #include "src/spawn/spawner.h"
@@ -49,6 +54,12 @@ class InProcessServer {
   std::thread server_thread_;
 };
 
+// Ships the spawner's request over `client`; returns the remote pid.
+Result<pid_t> SpawnVia(ForkServerClient& client, const Spawner& spawner) {
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
+  return client.LaunchRequest(req);
+}
+
 TEST(ForkServerTest, PingPong) {
   InProcessServer srv;
   EXPECT_TRUE(srv.client().Ping().ok());
@@ -57,10 +68,10 @@ TEST(ForkServerTest, PingPong) {
 TEST(ForkServerTest, SpawnTrueAndWait) {
   InProcessServer srv;
   Spawner s("/bin/true");
-  auto child = srv.client().Spawn(s);
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
-  EXPECT_GT(child->pid(), 0);
-  auto st = child->Wait();
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  EXPECT_GT(*pid, 0);
+  auto st = srv.client().WaitRemote(*pid);
   ASSERT_TRUE(st.ok()) << st.error().ToString();
   EXPECT_TRUE(st->Success());
 }
@@ -69,9 +80,9 @@ TEST(ForkServerTest, ExitCodePropagates) {
   InProcessServer srv;
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 5"});
-  auto child = srv.client().Spawn(s);
-  ASSERT_TRUE(child.ok());
-  auto st = child->Wait();
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_TRUE(pid.ok());
+  auto st = srv.client().WaitRemote(*pid);
   ASSERT_TRUE(st.ok());
   EXPECT_TRUE(st->exited);
   EXPECT_EQ(st->exit_code, 5);
@@ -80,9 +91,9 @@ TEST(ForkServerTest, ExitCodePropagates) {
 TEST(ForkServerTest, MissingProgramReportedAsError) {
   InProcessServer srv;
   Spawner s("/no/such/program");
-  auto child = srv.client().Spawn(s);
-  ASSERT_FALSE(child.ok());
-  EXPECT_EQ(child.error().code(), ENOENT) << child.error().ToString();
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_FALSE(pid.ok());
+  EXPECT_EQ(pid.error().code(), ENOENT) << pid.error().ToString();
 }
 
 TEST(ForkServerTest, OutputThroughTransferredPipe) {
@@ -92,13 +103,13 @@ TEST(ForkServerTest, OutputThroughTransferredPipe) {
 
   Spawner s("/bin/echo");
   s.Arg("zygote-output").SetStdout(Stdio::Fd(pipe->write_end.get()));
-  auto child = srv.client().Spawn(s);
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
   pipe->write_end.Reset();
   auto data = ReadAll(pipe->read_end.get());
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, "zygote-output\n");
-  ASSERT_TRUE(child->Wait().ok());
+  ASSERT_TRUE(srv.client().WaitRemote(*pid).ok());
 }
 
 TEST(ForkServerTest, StdinThroughTransferredPipe) {
@@ -111,8 +122,8 @@ TEST(ForkServerTest, StdinThroughTransferredPipe) {
   Spawner s("cat");
   s.SetStdin(Stdio::Fd(in_pipe->read_end.get()))
       .SetStdout(Stdio::Fd(out_pipe->write_end.get()));
-  auto child = srv.client().Spawn(s);
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
   in_pipe->read_end.Reset();
   out_pipe->write_end.Reset();
   ASSERT_TRUE(WriteFull(in_pipe->write_end.get(), "through-zygote", 14).ok());
@@ -120,7 +131,7 @@ TEST(ForkServerTest, StdinThroughTransferredPipe) {
   auto data = ReadAll(out_pipe->read_end.get());
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, "through-zygote");
-  ASSERT_TRUE(child->Wait().ok());
+  ASSERT_TRUE(srv.client().WaitRemote(*pid).ok());
 }
 
 TEST(ForkServerTest, EnvironmentCrossesTheWire) {
@@ -131,13 +142,13 @@ TEST(ForkServerTest, EnvironmentCrossesTheWire) {
   s.Args({"-c", "printf '%s' \"$FORKLIFT_WIRE\""})
       .SetEnv("FORKLIFT_WIRE", "crossed")
       .SetStdout(Stdio::Fd(pipe->write_end.get()));
-  auto child = srv.client().Spawn(s);
-  ASSERT_TRUE(child.ok());
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_TRUE(pid.ok());
   pipe->write_end.Reset();
   auto data = ReadAll(pipe->read_end.get());
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, "crossed");
-  ASSERT_TRUE(child->Wait().ok());
+  ASSERT_TRUE(srv.client().WaitRemote(*pid).ok());
 }
 
 TEST(ForkServerTest, WaitForUnknownPidFails) {
@@ -151,36 +162,12 @@ TEST(ForkServerTest, ManySequentialSpawns) {
   InProcessServer srv;
   for (int i = 0; i < 20; ++i) {
     Spawner s("/bin/true");
-    auto child = srv.client().Spawn(s);
-    ASSERT_TRUE(child.ok()) << "iteration " << i;
-    auto st = child->Wait();
+    auto pid = SpawnVia(srv.client(), s);
+    ASSERT_TRUE(pid.ok()) << "iteration " << i;
+    auto st = srv.client().WaitRemote(*pid);
     ASSERT_TRUE(st.ok());
     EXPECT_TRUE(st->Success());
   }
-}
-
-TEST(ForkServerTest, BackendAdapterRoutesThroughServer) {
-  InProcessServer srv;
-  ForkServerBackend backend(&srv.client());
-  auto pipe = MakePipe();
-  ASSERT_TRUE(pipe.ok());
-  auto child = Spawner("/bin/echo")
-                   .Arg("adapted")
-                   .SetStdout(Stdio::Fd(pipe->write_end.get()))
-                   .SetCustomBackend(&backend)
-                   .Spawn();
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
-  pipe->write_end.Reset();
-  auto data = ReadAll(pipe->read_end.get());
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ(*data, "adapted\n");
-  // The adapter's pid is not our child; reap via the protocol.
-  auto st = srv.client().WaitRemote(child->pid());
-  ASSERT_TRUE(st.ok());
-  // Suppress the "dropped without Wait" warning path: mark as handled by
-  // moving out of scope naturally (RemoteChild owns nothing).
-  auto ignored = child->TryWait();  // ECHILD-tolerant: not our child
-  (void)ignored;
 }
 
 TEST(ForkServerTest, NewChannelServesIndependently) {
@@ -193,12 +180,12 @@ TEST(ForkServerTest, NewChannelServesIndependently) {
   ASSERT_TRUE(srv.client().Ping().ok());
 
   Spawner s("/bin/true");
-  auto via_new = (*channel)->Spawn(s);
+  auto via_new = SpawnVia(**channel, s);
   ASSERT_TRUE(via_new.ok());
-  auto via_old = srv.client().Spawn(s);
+  auto via_old = SpawnVia(srv.client(), s);
   ASSERT_TRUE(via_old.ok());
-  EXPECT_TRUE(via_new->Wait().value().Success());
-  EXPECT_TRUE(via_old->Wait().value().Success());
+  EXPECT_TRUE((*channel)->WaitRemote(*via_new).value().Success());
+  EXPECT_TRUE(srv.client().WaitRemote(*via_old).value().Success());
 }
 
 TEST(ForkServerTest, ClosingSecondaryChannelKeepsServerAlive) {
@@ -212,9 +199,9 @@ TEST(ForkServerTest, ClosingSecondaryChannelKeepsServerAlive) {
   // Primary still serves.
   ASSERT_TRUE(srv.client().Ping().ok());
   Spawner s("/bin/true");
-  auto child = srv.client().Spawn(s);
-  ASSERT_TRUE(child.ok());
-  EXPECT_TRUE(child->Wait().value().Success());
+  auto pid = SpawnVia(srv.client(), s);
+  ASSERT_TRUE(pid.ok());
+  EXPECT_TRUE(srv.client().WaitRemote(*pid).value().Success());
 }
 
 TEST(ForkServerTest, ConcurrentClientsOnPrivateChannels) {
@@ -236,12 +223,12 @@ TEST(ForkServerTest, ConcurrentClientsOnPrivateChannels) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         Spawner s("/bin/true");
-        auto child = channels[static_cast<size_t>(t)]->Spawn(s);
-        if (!child.ok()) {
+        auto pid = SpawnVia(*channels[static_cast<size_t>(t)], s);
+        if (!pid.ok()) {
           ++failures;
           continue;
         }
-        auto st = child->Wait();
+        auto st = channels[static_cast<size_t>(t)]->WaitRemote(*pid);
         if (!st.ok() || !st->Success()) {
           ++failures;
         }
@@ -261,9 +248,9 @@ TEST(ForkServerProcessTest, SeparateProcessServes) {
 
   ASSERT_TRUE(client.Ping().ok());
   Spawner s("/bin/true");
-  auto child = client.Spawn(s);
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
-  auto st = child->Wait();
+  auto pid = SpawnVia(client, s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  auto st = client.WaitRemote(*pid);
   ASSERT_TRUE(st.ok());
   EXPECT_TRUE(st->Success());
 
@@ -280,6 +267,88 @@ TEST(ForkServerProcessTest, EofShutsServerDown) {
   auto server_exit = WaitForExit(handle->server_pid);
   ASSERT_TRUE(server_exit.ok());
   EXPECT_TRUE(server_exit->Success());
+}
+
+// Hits so far on the reactor's epoll_ctl(ADD) site, counted across this
+// process and every zygote forked from it (the counters are shared).
+uint64_t EpollCtlAddHits() {
+  for (const fault::SiteReport& site : fault::Snapshot()) {
+    if (site.site == "reactor.epoll_ctl_add") {
+      return site.hits;
+    }
+  }
+  return 0;
+}
+
+struct ClearFaultPlanOnExit {
+  ~ClearFaultPlanOnExit() { fault::ClearPlan(); }
+};
+
+// The zygote's one blocking path: a kWait for a child whose exit watch failed
+// to arm (its pidfd's epoll_ctl(ADD) fails inside the zygote) is answered by
+// a blocking reap. The wait must still get the exit status, exactly once, and
+// the zygote must be left with no zombie.
+TEST(ForkServerProcessTest, WaitOnChildWithoutExitWatchReapsOnce) {
+  ClearFaultPlanOnExit clear;
+  // Count the zygote's own start-up registrations; the next epoll_ctl(ADD)
+  // after them is the first child's exit watch.
+  fault::PlanSpec trace;
+  trace.trace = true;
+  fault::InstallPlan(trace);
+  uint64_t startup_adds = 0;
+  {
+    auto probe = StartForkServerProcess();
+    ASSERT_TRUE(probe.ok()) << probe.error().ToString();
+    ForkServerClient client(std::move(probe->client_sock));
+    ASSERT_TRUE(client.Ping().ok());
+    startup_adds = EpollCtlAddHits();
+    ASSERT_TRUE(client.Shutdown().ok());
+    ASSERT_TRUE(WaitForExit(probe->server_pid).ok());
+  }
+  ASSERT_GT(startup_adds, 0u);
+
+  fault::PlanSpec spec;
+  spec.site = "reactor.epoll_ctl_add";
+  spec.mode = fault::Mode::kEnomem;
+  spec.nth = startup_adds + 1;
+  fault::InstallPlan(spec);  // resets the counters; the zygote inherits it
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t zygote = handle->server_pid;
+  {
+    ForkServerClient client(std::move(handle->client_sock));
+    auto hold = MakePipe();
+    ASSERT_TRUE(hold.ok());
+    Spawner s("/bin/sh");
+    s.Args({"-c", "read line; exit 7"}).SetStdin(Stdio::Fd(hold->read_end.get()));
+    auto pid = SpawnVia(client, s);
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    hold->read_end.Reset();
+    ASSERT_EQ(fault::InjectionsFired(), 1u) << "the child's exit watch must have failed to arm";
+
+    auto wait = client.WaitAsync(*pid);
+    ASSERT_TRUE(wait.ok());
+    hold->write_end.Reset();  // `read` sees EOF and the child exits 7
+    auto st = wait->AwaitExit();
+    ASSERT_TRUE(st.ok()) << st.error().ToString();
+    EXPECT_TRUE(st->exited);
+    EXPECT_EQ(st->exit_code, 7);
+
+    // Exactly once: the reply retired the child.
+    auto again = client.WaitRemote(*pid);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error().code(), ECHILD) << again.error().ToString();
+
+    const std::string children =
+        "/proc/" + std::to_string(zygote) + "/task/" + std::to_string(zygote) + "/children";
+    std::ifstream in(children);
+    ASSERT_TRUE(in.good()) << children;
+    std::string left((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(left.find_first_not_of(" \n"), std::string::npos) << "zygote children: " << left;
+    EXPECT_TRUE(client.Ping().ok());
+    EXPECT_TRUE(client.Shutdown().ok());
+  }
+  EXPECT_TRUE(WaitForExit(zygote).ok());
 }
 
 TEST(WorkerPoolTest, StartExecuteStop) {
@@ -340,36 +409,6 @@ TEST(WorkerPoolTest, UnstartedPoolRejectsWork) {
 TEST(WorkerPoolTest, ZeroWorkersRejected) {
   ShellWorkerPool pool;
   EXPECT_FALSE(pool.Start({.workers = 0}).ok());
-}
-
-TEST(WorkerPoolTest, RemoteBatchStartServesTasks) {
-  // Workers launched on the zygote in ONE kSpawnBatch submit: the pool makes
-  // the stdio pipes locally and the child ends ride the batch frame's
-  // SCM_RIGHTS payload. The warm workers must then behave exactly like
-  // locally-spawned ones.
-  InProcessServer srv;
-  ShellWorkerPool pool;
-  ShellWorkerPool::Options opts;
-  opts.workers = 3;
-  opts.remote = &srv.client();
-  ASSERT_TRUE(pool.Start(opts).ok());
-  EXPECT_EQ(pool.worker_count(), 3u);
-
-  // Distinct shells (round-robin lands on three different pids)...
-  std::set<std::string> pids;
-  for (int i = 0; i < 3; ++i) {
-    auto r = pool.Execute("echo $$");
-    ASSERT_TRUE(r.ok()) << r.error().ToString();
-    pids.insert(r->output);
-  }
-  EXPECT_EQ(pids.size(), 3u);
-  // ...that carry output and exit codes like any warm worker.
-  auto r = pool.Execute("echo remote-warm; exit 5");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->output, "remote-warm\n");
-  EXPECT_EQ(r->exit_code, 5);
-  // Stop must reap through the server (EOF → sh exits → remote wait).
-  ASSERT_TRUE(pool.Stop().ok());
 }
 
 }  // namespace

@@ -16,6 +16,12 @@
 namespace forklift {
 namespace {
 
+// Ships the spawner's request through the pool; returns the remote pid.
+Result<pid_t> SpawnVia(ShardedForkServer& pool, const Spawner& spawner) {
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
+  return pool.LaunchRequest(req);
+}
+
 TEST(ShardedForkServerTest, SpawnWaitAcrossTwoShards) {
   ShardedForkServer::Options opts;
   opts.shards = 2;
@@ -28,9 +34,9 @@ TEST(ShardedForkServerTest, SpawnWaitAcrossTwoShards) {
   // routing; every one must succeed and wait through its owning shard.
   Spawner s("/bin/true");
   for (int i = 0; i < 8; ++i) {
-    auto child = (*pool)->Spawn(s);
-    ASSERT_TRUE(child.ok()) << child.error().ToString();
-    auto st = child->Wait();
+    auto pid = SpawnVia(**pool, s);
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    auto st = (*pool)->WaitRemote(*pid);
     ASSERT_TRUE(st.ok()) << st.error().ToString();
     EXPECT_TRUE(st->Success());
   }
@@ -87,11 +93,11 @@ TEST(ShardedForkServerTest, CrashedShardsRestartTransparently) {
   Spawner s("/bin/true");
   bool spawned = false;
   for (int attempt = 0; attempt < 10 && !spawned; ++attempt) {
-    auto child = (*pool)->Spawn(s);
-    if (!child.ok()) {
+    auto pid = SpawnVia(**pool, s);
+    if (!pid.ok()) {
       continue;  // the in-flight race above: completed exactly once, as error
     }
-    auto st = child->Wait();
+    auto st = (*pool)->WaitRemote(*pid);
     ASSERT_TRUE(st.ok()) << st.error().ToString();
     EXPECT_TRUE(st->Success());
     spawned = true;
@@ -135,9 +141,9 @@ TEST(ShardedForkServerTest, InFlightWaitOnKilledShardErrorsDoesNotHang) {
   hold->write_end.Reset();  // release the now-orphaned child
 
   // The pool recovered: a fresh spawn works on the restarted shard.
-  auto again = (*pool)->Spawn(Spawner("/bin/true"));
+  auto again = SpawnVia(**pool, Spawner("/bin/true"));
   ASSERT_TRUE(again.ok()) << again.error().ToString();
-  EXPECT_TRUE(again->Wait().value().Success());
+  EXPECT_TRUE((*pool)->WaitRemote(*again).value().Success());
   EXPECT_GE((*pool)->restarts(), 1u);
   EXPECT_TRUE((*pool)->Shutdown().ok());
 }
@@ -151,34 +157,7 @@ TEST(ShardedForkServerTest, WaitForUnknownPidIsAnError) {
   EXPECT_TRUE((*pool)->Shutdown().ok());
 }
 
-TEST(ShardedForkServerTest, LaunchBatchRoutesBurstAsAUnit) {
-  ShardedForkServer::Options opts;
-  opts.shards = 2;
-  auto pool = ShardedForkServer::Start(opts);
-  ASSERT_TRUE(pool.ok()) << pool.error().ToString();
-
-  auto req = Spawner("/bin/true").BuildRequest();
-  ASSERT_TRUE(req.ok());
-  std::vector<SpawnRequest> burst(12, *req);
-  auto results = (*pool)->LaunchBatch(burst);
-  ASSERT_EQ(results.size(), burst.size());
-  for (auto& r : results) {
-    ASSERT_TRUE(r.ok()) << r.error().ToString();
-    // Wait affinity: the pool must have registered every batch child with the
-    // shard that owns it, or this wait would error out.
-    auto st = (*pool)->WaitRemote(r.value());
-    ASSERT_TRUE(st.ok()) << st.error().ToString();
-    EXPECT_TRUE(st->Success());
-  }
-  // A second burst after the first fully drains must also route cleanly.
-  auto again = (*pool)->LaunchBatch({*req});
-  ASSERT_EQ(again.size(), 1u);
-  ASSERT_TRUE(again[0].ok()) << again[0].error().ToString();
-  EXPECT_TRUE((*pool)->WaitRemote(again[0].value())->Success());
-  EXPECT_TRUE((*pool)->Shutdown().ok());
-}
-
-TEST(ShardedForkServerTest, LaunchBatchAfterShutdownFailsEverySlot) {
+TEST(ShardedForkServerTest, LaunchAfterShutdownFails) {
   ShardedForkServer::Options opts;
   opts.shards = 1;
   auto pool = ShardedForkServer::Start(opts);
@@ -186,11 +165,8 @@ TEST(ShardedForkServerTest, LaunchBatchAfterShutdownFailsEverySlot) {
   ASSERT_TRUE((*pool)->Shutdown().ok());
   auto req = Spawner("/bin/true").BuildRequest();
   ASSERT_TRUE(req.ok());
-  auto results = (*pool)->LaunchBatch({*req, *req, *req});
-  ASSERT_EQ(results.size(), 3u);
-  for (auto& r : results) {
-    EXPECT_FALSE(r.ok());
-  }
+  EXPECT_FALSE((*pool)->LaunchAsync(*req).ok());
+  EXPECT_FALSE((*pool)->LaunchRequest(*req).ok());
 }
 
 }  // namespace

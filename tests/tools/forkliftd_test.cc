@@ -19,6 +19,12 @@ namespace {
 #error "FORKLIFTD_BIN must be defined by the build"
 #endif
 
+// Ships the spawner's request through the daemon; returns the remote pid.
+Result<pid_t> SpawnVia(ForkServerClient& client, const Spawner& spawner) {
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
+  return client.LaunchRequest(req);
+}
+
 class ForkliftdTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -77,9 +83,9 @@ TEST_F(ForkliftdTest, SpawnThroughDaemon) {
   ASSERT_TRUE(client.ok());
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 11"});
-  auto child = (*client)->Spawn(s);
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
-  auto st = child->Wait();
+  auto pid = SpawnVia(**client, s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  auto st = (*client)->WaitRemote(*pid);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->exit_code, 11);
 }
@@ -93,12 +99,12 @@ TEST_F(ForkliftdTest, MultipleIndependentConnections) {
   EXPECT_TRUE((*b)->Ping().ok());
 
   Spawner s("/bin/true");
-  auto ca = (*a)->Spawn(s);
-  auto cb = (*b)->Spawn(s);
+  auto ca = SpawnVia(**a, s);
+  auto cb = SpawnVia(**b, s);
   ASSERT_TRUE(ca.ok());
   ASSERT_TRUE(cb.ok());
-  EXPECT_TRUE(ca->Wait().value().Success());
-  EXPECT_TRUE(cb->Wait().value().Success());
+  EXPECT_TRUE((*a)->WaitRemote(*ca).value().Success());
+  EXPECT_TRUE((*b)->WaitRemote(*cb).value().Success());
 }
 
 TEST_F(ForkliftdTest, DisconnectDoesNotKillDaemon) {
@@ -151,12 +157,12 @@ TEST(ForkliftdShardsTest, ShardedDaemonServesAndShutsDown) {
   ASSERT_TRUE(b.ok());
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 7"});
-  auto child_a = (*a)->Spawn(s);
-  auto child_b = (*b)->Spawn(s);
+  auto child_a = SpawnVia(**a, s);
+  auto child_b = SpawnVia(**b, s);
   ASSERT_TRUE(child_a.ok()) << child_a.error().ToString();
   ASSERT_TRUE(child_b.ok()) << child_b.error().ToString();
-  EXPECT_EQ(child_a->Wait().value().exit_code, 7);
-  EXPECT_EQ(child_b->Wait().value().exit_code, 7);
+  EXPECT_EQ((*a)->WaitRemote(*child_a).value().exit_code, 7);
+  EXPECT_EQ((*b)->WaitRemote(*child_b).value().exit_code, 7);
 
   // Shutting down one shard winds down the whole supervisor, which removes
   // the socket file on its way out.
@@ -228,9 +234,10 @@ TEST(ForkliftdMetricsTest, MetricsSocketServesBothFormatsAndCountsSpawns) {
   ASSERT_TRUE(b.ok());
   Spawner s("/bin/true");
   for (int i = 0; i < kSpawns; ++i) {
-    auto child = (i % 2 == 0 ? *a : *b)->Spawn(s);
-    ASSERT_TRUE(child.ok()) << child.error().ToString();
-    EXPECT_TRUE(child->Wait().value().Success());
+    ForkServerClient& client = i % 2 == 0 ? **a : **b;
+    auto pid = SpawnVia(client, s);
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    EXPECT_TRUE(client.WaitRemote(*pid).value().Success());
   }
 
   // Scrape over the dedicated metrics socket, both formats.
@@ -287,10 +294,9 @@ TEST(ForkliftdDaemonTest, DaemonModeDetachesAndServes) {
   auto client = ForkServerClient::ConnectPath(socket_path);
   ASSERT_TRUE(client.ok()) << client.error().ToString();
   ASSERT_TRUE((*client)->Ping().ok());
-  Spawner s("/bin/true");
-  auto child = (*client)->Spawn(s);
-  ASSERT_TRUE(child.ok());
-  EXPECT_TRUE(child->Wait().value().Success());
+  auto pid = SpawnVia(**client, Spawner("/bin/true"));
+  ASSERT_TRUE(pid.ok());
+  EXPECT_TRUE((*client)->WaitRemote(*pid).value().Success());
   ASSERT_TRUE((*client)->Shutdown().ok());
 }
 

@@ -261,34 +261,38 @@ Status ScenarioForkServer() {
     if (!pipe.ok()) return Err(pipe.error());
     Spawner spawner("/bin/echo");
     spawner.Arg("zygote-ok").SetStdout(Stdio::Fd(pipe->write_end.get()));
-    auto remote = client.Spawn(spawner);
+    auto echo_req = spawner.BuildRequest();
+    if (!echo_req.ok()) return Err(echo_req.error());
+    auto remote = client.LaunchRequest(*echo_req);
     if (!remote.ok()) return Err(remote.error());
     pipe->write_end.Reset();  // ours; the transferred copy is the server's
     auto out = ReadAll(pipe->read_end.get());
     if (!out.ok()) return Err(out.error());
     if (*out != "zygote-ok\n") return LogicalError("forkserver: echo output mismatch");
-    auto status = remote->Wait();
+    auto status = client.WaitRemote(*remote);
     if (!status.ok()) return Err(status.error());
     if (!status->Success()) {
       return LogicalError("forkserver: remote child failed: " + status->ToString());
     }
-    // A kSpawnBatch burst: one frame carrying several requests, so the
-    // batched wire path — client writev flush (syscall.writev_full), server
-    // drain (wire.recvmsg_drain), coalesced replies — is in this scenario's
-    // trace. The fd spawn above already traces wire.sendmsg_fds.
-    auto batch_req = Spawner("/bin/true").BuildRequest();
-    if (!batch_req.ok()) return Err(batch_req.error());
-    std::vector<SpawnRequest> burst(4, *batch_req);
-    auto batch = client.LaunchBatch(burst);
-    if (batch.size() != burst.size()) {
-      return LogicalError("forkserver: batch result count mismatch");
+    // A window of pipelined spawns submitted before the first await, so the
+    // wire path — client writev flush (syscall.writev_full), server drain
+    // (wire.recvmsg_drain), coalesced replies — is in this scenario's trace.
+    // The fd spawn above already traces wire.sendmsg_fds.
+    auto true_req = Spawner("/bin/true").BuildRequest();
+    if (!true_req.ok()) return Err(true_req.error());
+    std::vector<ForkServerClient::PendingReply> window;
+    for (int i = 0; i < 4; ++i) {
+      auto pending = client.LaunchAsync(*true_req);
+      if (!pending.ok()) return Err(pending.error());
+      window.push_back(std::move(*pending));
     }
-    for (auto& slot : batch) {
-      if (!slot.ok()) return Err(slot.error());
-      auto st = client.WaitRemote(*slot);
+    for (auto& pending : window) {
+      auto pid = pending.AwaitPid();
+      if (!pid.ok()) return Err(pid.error());
+      auto st = client.WaitRemote(*pid);
       if (!st.ok()) return Err(st.error());
       if (!st->Success()) {
-        return LogicalError("forkserver: batch child failed: " + st->ToString());
+        return LogicalError("forkserver: window child failed: " + st->ToString());
       }
     }
     // Stats round-trip: exercises the kStats frames and the server-side
