@@ -97,14 +97,14 @@ void SleepNs(uint64_t ns) {
 // A child parked on a blocking read: it exits the instant its stdin pipe
 // closes, and it signals readiness (one line on stdout) once the shell is up,
 // so the measurement window never includes interpreter startup.
-Result<Child> SpawnParkedChild() {
-  FORKLIFT_ASSIGN_OR_RETURN(Child child, Spawner("/bin/sh")
-                                             .Arg("-c")
-                                             .Arg("echo r; read line")
-                                             .SetStdin(Stdio::Pipe())
-                                             .SetStdout(Stdio::Pipe())
-                                             .SetStderr(Stdio::Null())
-                                             .Spawn());
+Result<ProcessHandle> SpawnParkedChild() {
+  FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle child, Spawner("/bin/sh")
+                                                     .Arg("-c")
+                                                     .Arg("echo r; read line")
+                                                     .SetStdin(Stdio::Pipe())
+                                                     .SetStdout(Stdio::Pipe())
+                                                     .SetStderr(Stdio::Null())
+                                                     .Spawn());
   char buf[2];
   size_t got = 0;
   while (got < sizeof(buf)) {
@@ -123,7 +123,7 @@ Result<Child> SpawnParkedChild() {
 // the backoff escalates to its cap (the steady state of any supervised
 // child), then the exit lands at a staggered phase inside the cap window.
 Result<uint64_t> LegacyDetectOnce(int sample) {
-  FORKLIFT_ASSIGN_OR_RETURN(Child child, SpawnParkedChild());
+  FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle child, SpawnParkedChild());
   uint64_t interval = kPollFloorNs;
   while (interval < kPollCapNs) {
     FORKLIFT_RETURN_IF_ERROR(child.TryWait());
@@ -150,7 +150,7 @@ Result<uint64_t> LegacyDetectOnce(int sample) {
 
 // One sample of the reactor detector: a ChildWatch parked in epoll.
 Result<uint64_t> ReactorDetectOnce() {
-  FORKLIFT_ASSIGN_OR_RETURN(Child child, SpawnParkedChild());
+  FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle child, SpawnParkedChild());
   FORKLIFT_ASSIGN_OR_RETURN(Reactor reactor, Reactor::Create());
   bool exited = false;
   FORKLIFT_ASSIGN_OR_RETURN(

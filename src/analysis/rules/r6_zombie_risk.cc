@@ -19,7 +19,7 @@ using rule_util::IsIdent;
 using rule_util::IsPunct;
 
 // Reaping vocabulary: libc wait calls plus this repo's blessed wrappers
-// (src/common/syscall.h, src/common/reactor.h, src/spawn/child.h).
+// (src/common/syscall.h, src/common/reactor.h, src/spawn/process_handle.h).
 constexpr std::array<std::string_view, 12> kWaitIdents = {
     "wait",    "waitpid",     "waitid",       "wait3",        "wait4",     "WaitPid",
     "WaitForExit", "WaitDeadline", "ChildWatch", "Communicate", "AwaitExec", "Reap"};

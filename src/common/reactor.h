@@ -1,7 +1,7 @@
 // forklift/common: Reactor — the event loop child-lifecycle plumbing runs on.
 //
 // Every layer that used to discover child exits by nanosleep-backoff polling
-// (Child::WaitDeadline, Supervisor, the fork server, the worker pool) now
+// (ProcessHandle::WaitDeadline, Supervisor, the fork server, the worker pool) now
 // blocks in one epoll_wait(2) instead: descriptors (sockets, pipes, pidfds)
 // and timerfd-backed timers share a single wait, so an exit or a byte of
 // output wakes the caller within a scheduler quantum rather than on the next

@@ -2,8 +2,11 @@
 #ifndef SRC_COMMON_STRING_UTIL_H_
 #define SRC_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace forklift {
@@ -22,6 +25,27 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
+
+// Parses all of `text` as a T: integers in `base`, floating point in plain
+// or scientific notation. False (leaving *out alone) on an empty value,
+// trailing characters, a sign an unsigned T cannot hold, or overflow —
+// unlike strtoul, "x" is not 0 and "-1" is not ULONG_MAX.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out, int base = 10) {
+  const char* end = text.data() + text.size();
+  T value{};
+  std::from_chars_result r;
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(text.data(), end, value);
+  } else {
+    r = std::from_chars(text.data(), end, value, base);
+  }
+  if (r.ec != std::errc() || r.ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 // Human-readable byte size: "4.0KiB", "2.5MiB", "3GiB".
 std::string HumanBytes(uint64_t bytes);

@@ -252,7 +252,7 @@ Result<int> WaitPid(pid_t pid, int options) {
     }
     if (r >= 0) {
       // r == 0 only with WNOHANG and no state change; report status 0 — callers
-      // using WNOHANG should use Child::TryWait which interprets this.
+      // using WNOHANG should use ProcessHandle::TryWait which interprets this.
       return status;
     }
     if (errno != EINTR) {

@@ -47,7 +47,7 @@ Status ShellWorkerPool::Start(const Options& opts) {
       return Err(child.error());
     }
     Worker w;
-    w.child = ProcessHandle::FromChild(std::move(child).value());
+    w.child = std::move(child).value();
     workers_.push_back(std::move(w));
   }
   // Arm the watches only once workers_ has its final size: the callbacks

@@ -43,13 +43,6 @@ enum class MsgType : uint32_t {
   kStatsReply = 12,     // server → client: rendered export (or error)
 };
 
-// A SpawnRequest plus the descriptor list its plan references. Local fd
-// numbers in dup2 sources are replaced by indices into `fds` during encoding.
-struct WireSpawnRequest {
-  SpawnRequest request;
-  std::vector<int> fds;  // borrowed fds to transfer (encode side)
-};
-
 // Per-frame framing metadata: callers pass {kForkServerProtocolV2, id}. The
 // default (request_id 0) is the uncorrelated frame the server uses to answer
 // a header it could not parse.

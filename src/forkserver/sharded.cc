@@ -134,14 +134,13 @@ void ShardedForkServer::NoteShardFailure(size_t idx, uint64_t generation) {
     return;  // another caller already handled this crash
   }
   CleanupShardLocked(idx);
-  if (options_.restart_crashed_shards) {  // forklint:ignore-next(R9) — child never takes mu_
-    Status restarted = StartShardLocked(idx);
-    if (restarted.ok()) {
-      ++restarts_;
-      RestartCounter().Increment();
-    }
-    // On failure the shard stays dead; RouteLocked retries on demand.
+  // forklint:ignore-next(R9) — child never takes mu_
+  Status restarted = StartShardLocked(idx);
+  if (restarted.ok()) {
+    ++restarts_;
+    RestartCounter().Increment();
   }
+  // On failure the shard stays dead; RouteLocked retries on demand.
 }
 
 Result<size_t> ShardedForkServer::RouteLocked() {
@@ -161,16 +160,15 @@ Result<size_t> ShardedForkServer::RouteLocked() {
   if (best < shards_.size()) {
     return best;
   }
-  if (options_.restart_crashed_shards) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      CleanupShardLocked(i);
-      FORKLIFT_RETURN_IF_ERROR(StartShardLocked(i));
-      ++restarts_;
-      RestartCounter().Increment();
-      return i;
-    }
+  if (shards_.empty()) {
+    return LogicalError("sharded forkserver: no live shard");
   }
-  return LogicalError("sharded forkserver: no live shard");
+  // Every shard is dead: restart the first on demand.
+  CleanupShardLocked(0);
+  FORKLIFT_RETURN_IF_ERROR(StartShardLocked(0));
+  ++restarts_;
+  RestartCounter().Increment();
+  return size_t{0};
 }
 
 Result<ShardedForkServer::PendingSpawn> ShardedForkServer::LaunchAsync(const SpawnRequest& req,

@@ -34,9 +34,6 @@ class ShardedForkServer {
  public:
   struct Options {
     size_t shards = 0;  // 0 → one shard per online CPU
-    // Restart a crashed shard on the next request that needs it. When false a
-    // dead shard just drops out of the routing set.
-    bool restart_crashed_shards = true;
   };
 
   // Forks the shard processes. Like StartForkServerProcess, call it early,
@@ -126,10 +123,10 @@ class ShardedForkServer {
   // Records pid→shard ownership after a successful routed spawn.
   void RegisterChild(pid_t pid, size_t idx, uint64_t generation);
   // Called when a request observed shards_[idx] (at `generation`) dead:
-  // restarts or retires the shard, exactly once per generation.
+  // restarts the shard, exactly once per generation.
   void NoteShardFailure(size_t idx, uint64_t generation);
   // Picks the live shard with the fewest requests in flight, restarting one
-  // if every shard is dead and restarts are enabled (mu_ held).
+  // if every shard is dead (mu_ held).
   Result<size_t> RouteLocked();
 
   Options options_;

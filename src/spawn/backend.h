@@ -28,6 +28,8 @@ enum class SpawnBackendKind {
 };
 
 const char* SpawnBackendKindName(SpawnBackendKind kind);
+// The route name a handle from this engine reports ("local:forkexec", ...).
+const char* LocalRouteName(SpawnBackendKind kind);
 
 struct RlimitSpec {
   int resource;  // RLIMIT_*

@@ -50,4 +50,18 @@ const char* SpawnBackendKindName(SpawnBackendKind kind) {
   return "?";
 }
 
+const char* LocalRouteName(SpawnBackendKind kind) {
+  switch (kind) {
+    case SpawnBackendKind::kForkExec:
+      return "local:forkexec";
+    case SpawnBackendKind::kVfork:
+      return "local:vfork";
+    case SpawnBackendKind::kPosixSpawn:
+      return "local:posix_spawn";
+    case SpawnBackendKind::kCloneVm:
+      return "local:clone3";
+  }
+  return "local:?";
+}
+
 }  // namespace forklift

@@ -19,7 +19,7 @@ Result<RunResult> RunAndCapture(const std::string& program, const std::vector<st
   } else {
     spawner.SetStdin(Stdio::Null());
   }
-  FORKLIFT_ASSIGN_OR_RETURN(Child child, spawner.Spawn());
+  FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle child, spawner.Spawn());
 
   if (opts.timeout_seconds > 0) {
     // Supervised mode: drain with a deadline. Simpler discipline: communicate
@@ -34,7 +34,7 @@ Result<RunResult> RunAndCapture(const std::string& program, const std::vector<st
     }
   }
 
-  FORKLIFT_ASSIGN_OR_RETURN(Child::Outcome oc, child.Communicate(opts.stdin_data));
+  FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle::Outcome oc, child.Communicate(opts.stdin_data));
   RunResult r;
   r.status = oc.status;
   r.stdout_data = std::move(oc.stdout_data);
@@ -57,7 +57,7 @@ Result<PipelineResult> RunPipeline(const std::vector<PipelineStage>& stages,
     pipes.push_back(std::move(p));
   }
 
-  std::vector<Child> children;
+  std::vector<ProcessHandle> children;
   children.reserve(stages.size());
   for (size_t i = 0; i < stages.size(); ++i) {
     Spawner s(stages[i].program);
@@ -92,14 +92,14 @@ Result<PipelineResult> RunPipeline(const std::vector<PipelineStage>& stages,
   // because every inter-stage pipe can fill while we are still writing.
   PipelineResult result;
   if (stages.size() == 1) {
-    FORKLIFT_ASSIGN_OR_RETURN(Child::Outcome oc, children.back().Communicate(stdin_data));
+    FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle::Outcome oc, children.back().Communicate(stdin_data));
     result.stdout_data = std::move(oc.stdout_data);
   } else {
     // Move the head's stdin pipe onto the tail child and let Communicate's
     // poll loop pump both ends; the tail has no stdin pipe of its own (it
     // reads from the inter-stage pipe), so the slot is free.
     children.back().stdin_fd() = std::move(children.front().stdin_fd());
-    FORKLIFT_ASSIGN_OR_RETURN(Child::Outcome oc, children.back().Communicate(stdin_data));
+    FORKLIFT_ASSIGN_OR_RETURN(ProcessHandle::Outcome oc, children.back().Communicate(stdin_data));
     result.stdout_data = std::move(oc.stdout_data);
   }
   for (auto& c : children) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/spawn/child.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {

@@ -73,8 +73,6 @@ SpawnMetrics::Snapshot SpawnMetrics::snapshot() const {
   snap.exits_observed = exits_observed_.Value();
   snap.submit_to_exec_us = submit_to_exec_us_.snapshot();
   snap.exec_to_exit_us = exec_to_exit_us_.snapshot();
-  snap.submit_to_exec_ns_total = snap.submit_to_exec_us.sum * 1000;
-  snap.exec_to_exit_ns_total = snap.exec_to_exit_us.sum * 1000;
   return snap;
 }
 

@@ -9,12 +9,12 @@
 // refactor shrinks, so these feed bench/scalability's latency series and the
 // regression tests.
 //
-// SpawnTimeline rides on each Child. SpawnMetrics and RouteMetrics are thin
-// views over the process-wide obs registry: counts are named registry
-// counters and the phase latencies are fixed-bucket microsecond histograms
-// (p50/p95/p99 instead of a straggler-poisoned mean), so everything here is
-// visible to the Prometheus/JSON exporters and shared with zygote shards
-// forked after the registry arena exists.
+// SpawnTimeline rides on each locally spawned ProcessHandle. SpawnMetrics and
+// RouteMetrics are thin views over the process-wide obs registry: counts are
+// named registry counters and the phase latencies are fixed-bucket
+// microsecond histograms (p50/p95/p99 instead of a straggler-poisoned mean),
+// so everything here is visible to the Prometheus/JSON exporters and shared
+// with zygote shards forked after the registry arena exists.
 #ifndef SRC_SPAWN_METRICS_H_
 #define SRC_SPAWN_METRICS_H_
 
@@ -29,10 +29,6 @@ struct SpawnTimeline {
   uint64_t submit_ns = 0;          // MonotonicNanos at Spawner::Spawn entry
   uint64_t exec_confirmed_ns = 0;  // backend Launch returned a pid
   uint64_t exit_observed_ns = 0;   // first successful reap of the exit status
-
-  bool complete() const {
-    return submit_ns != 0 && exec_confirmed_ns != 0 && exit_observed_ns != 0;
-  }
 };
 
 // Counters for one SpawnService route (a transport in a fallback chain).
@@ -120,7 +116,8 @@ class SpawnMetrics {
 
   // Called by Spawner::Spawn once the backend confirmed the launch.
   void RecordSpawn(const SpawnTimeline& timeline);
-  // Called by Child when the exit status is first observed.
+  // Called by a locally spawned ProcessHandle when the exit status is first
+  // observed.
   void RecordExitObserved(const SpawnTimeline& timeline);
 
   struct Snapshot {
@@ -128,16 +125,6 @@ class SpawnMetrics {
     uint64_t exits_observed = 0;
     obs::HistogramSnapshot submit_to_exec_us;
     obs::HistogramSnapshot exec_to_exit_us;
-    // Sum views derived from the microsecond histograms, kept for callers
-    // that predate the histogram migration.
-    uint64_t submit_to_exec_ns_total = 0;
-    uint64_t exec_to_exit_ns_total = 0;
-
-    double MeanSubmitToExecMicros() const { return submit_to_exec_us.Mean(); }
-    double SubmitToExecPercentileMicros(double p) const {
-      return submit_to_exec_us.Percentile(p);
-    }
-    double ExecToExitPercentileMicros(double p) const { return exec_to_exit_us.Percentile(p); }
   };
   Snapshot snapshot() const;
 

@@ -28,7 +28,7 @@
 #include "src/common/result.h"
 #include "src/common/syscall.h"
 #include "src/common/unique_fd.h"
-#include "src/spawn/child.h"
+#include "src/spawn/metrics.h"
 
 namespace forklift {
 
@@ -54,11 +54,13 @@ class ProcessHandle {
   ProcessHandle(ProcessHandle&&) noexcept = default;
   ProcessHandle& operator=(ProcessHandle&&) noexcept = default;
 
-  // Wraps a locally-spawned Child. The child's pipe ends move onto the
-  // handle; waiting stays waitpid/pidfd-based via the Child it absorbs.
-  // `route` defaults to "local"; a routed transport passes its own name so
-  // route() reports which backend actually produced the process.
-  static ProcessHandle FromChild(Child child, std::string route = "local");
+  // Adopts a child this process just launched (Spawner::Spawn). Waits are
+  // waitpid, deadline waits park on a pidfd (timer-poll fallback on pre-5.3
+  // kernels), and the first reap stamps `timeline`'s exit-observed phase into
+  // SpawnMetrics. Dropping the handle unreaped logs a warning and leaves the
+  // zombie: a dropped handle must not turn into a silent SIGKILL. `route`
+  // names the local engine (LocalRouteName).
+  static ProcessHandle FromLocalSpawn(pid_t pid, SpawnTimeline timeline, std::string route);
 
   // Wraps any mechanism. `route` names the transport that produced the
   // process (e.g. "local:posix_spawn", "forkserver", "sharded") — it is
@@ -104,8 +106,10 @@ class ProcessHandle {
   UniqueFd& stderr_fd() { return stderr_fd_; }
 
   // Writes `input` to the child's stdin (then closes it), drains stdout and
-  // stderr concurrently through one reactor, and reaps the child — the same
-  // contract as Child::Communicate, mechanism-independent.
+  // stderr concurrently, and reaps the child. Stdio draining and exit
+  // detection share one Reactor epoll set, so output and the exit
+  // notification arrive from a single wait — deadlock-free even when the
+  // child interleaves output on both streams.
   struct Outcome {
     ExitStatus status;
     std::string stdout_data;

@@ -12,20 +12,6 @@ namespace forklift {
 
 namespace {
 
-const char* LocalRouteName(SpawnBackendKind kind) {
-  switch (kind) {
-    case SpawnBackendKind::kForkExec:
-      return "local:forkexec";
-    case SpawnBackendKind::kVfork:
-      return "local:vfork";
-    case SpawnBackendKind::kPosixSpawn:
-      return "local:posix_spawn";
-    case SpawnBackendKind::kCloneVm:
-      return "local:clone3";
-  }
-  return "local:?";
-}
-
 // In-process engines: no transport to fail, so every error is a request
 // error — falling through to another local engine would just repeat it.
 class LocalTransport final : public SpawnTransport {
@@ -40,8 +26,7 @@ class LocalTransport final : public SpawnTransport {
     *failure = SpawnFailureKind::kRequest;
     Spawner pinned = spawner;
     pinned.SetBackend(kind_);
-    FORKLIFT_ASSIGN_OR_RETURN(Child child, pinned.Spawn());
-    return ProcessHandle::FromChild(std::move(child), Name());
+    return pinned.Spawn();
   }
 
  private:

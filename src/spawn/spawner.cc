@@ -138,11 +138,6 @@ Spawner& Spawner::SetBackend(SpawnBackendKind kind) {
 
 namespace {
 
-// Assembles the request fields that do not depend on stdio plumbing.
-struct BaseRequest {
-  SpawnRequest req;
-};
-
 EnvMap ResolveEnv(bool inherit, const std::optional<EnvMap>& explicit_env,
                   const EnvMap& overrides, const std::vector<std::string>& unsets) {
   EnvMap env;
@@ -160,14 +155,23 @@ EnvMap ResolveEnv(bool inherit, const std::optional<EnvMap>& explicit_env,
   return env;
 }
 
+SpawnBackend& BackendFor(SpawnBackendKind kind) {
+  switch (kind) {
+    case SpawnBackendKind::kVfork:
+      return VforkBackend();
+    case SpawnBackendKind::kPosixSpawn:
+      return PosixSpawnBackend();
+    case SpawnBackendKind::kCloneVm:
+      return Clone3Backend();
+    case SpawnBackendKind::kForkExec:
+      break;
+  }
+  return ForkExecBackend();
+}
+
 }  // namespace
 
-Result<SpawnRequest> Spawner::BuildRequest() const {
-  auto is_pipe = [](const Stdio& s) { return s.kind() == Stdio::Kind::kPipe; };
-  if (is_pipe(stdin_spec_) || is_pipe(stdout_spec_) || is_pipe(stderr_spec_)) {
-    return LogicalError("BuildRequest: pipe stdio requires Spawn(), not BuildRequest()");
-  }
-
+Result<SpawnRequest> Spawner::AssembleRequest(FdPlan stdio) const {
   SpawnRequest req;
   req.program = program_;
   req.use_path_search = program_.find('/') == std::string::npos;
@@ -180,11 +184,43 @@ Result<SpawnRequest> Spawner::BuildRequest() const {
   req.argv = ArgvBlock(argv);
   req.envp = ResolveEnv(inherit_env_, explicit_env_, env_overrides_, env_unsets_).ToBlock();
 
-  // Non-pipe stdio lowers to plain fd actions (kFd/kPath handled by Spawn();
-  // here only Inherit/Null/Fd/MergeStdout are representable without parent
-  // state, so Path specs are lowered to child-side opens).
+  for (const auto& a : extra_fds_.actions()) {
+    switch (a.kind) {
+      case FdAction::Kind::kDup2:
+        stdio.Dup2(a.src_fd, a.child_fd);
+        break;
+      case FdAction::Kind::kOpen:
+        stdio.Open(a.path, a.flags, a.mode, a.child_fd);
+        break;
+      case FdAction::Kind::kClose:
+        stdio.Close(a.child_fd);
+        break;
+      case FdAction::Kind::kInherit:
+        stdio.Inherit(a.child_fd);
+        break;
+    }
+  }
+  FORKLIFT_ASSIGN_OR_RETURN(req.fd_plan, stdio.Compile());
+
+  req.cwd = cwd_;
+  req.umask_value = umask_;
+  req.reset_signal_mask = reset_signals_;
+  req.reset_signal_handlers = reset_signals_;
+  req.new_session = new_session_;
+  req.process_group = process_group_;
+  req.nice_value = nice_value_;
+  req.rlimits = rlimits_;
+  req.close_other_fds = close_other_fds_;
+  return req;
+}
+
+Result<SpawnRequest> Spawner::BuildRequest() const {
+  // Nothing is opened in the parent here: a wire route ships only
+  // descriptors, so Null and Path specs lower to child-side opens and the
+  // dup2 sources name the caller's own fds.
   FdPlan plan;
-  auto lower = [&plan](const Stdio& spec, int target, int stdout_src) -> Status {
+  int stdout_src = stdout_spec_.kind() == Stdio::Kind::kFd ? stdout_spec_.fd() : 1;
+  auto lower = [&](const Stdio& spec, int target) -> Status {
     switch (spec.kind()) {
       case Stdio::Kind::kInherit:
         return Status::Ok();
@@ -208,76 +244,40 @@ Result<SpawnRequest> Spawner::BuildRequest() const {
         if (target != 2) {
           return LogicalError("MergeStdout is only valid for stderr");
         }
-        plan.Dup2(stdout_src, 2);
-        return Status::Ok();
+        switch (stdout_spec_.kind()) {
+          case Stdio::Kind::kNull:
+            // stdout's open happens child-side, so fd 1 here would be the
+            // caller's own stdout: discard stderr with a second open.
+            plan.Open("/dev/null", O_WRONLY, 0, 2);
+            return Status::Ok();
+          case Stdio::Kind::kPath:
+          case Stdio::Kind::kAppendPath:
+            // A second open of the path would not share stdout's offset, and
+            // "fd 1 after the open" has no parent-side name: reject rather
+            // than silently mis-share.
+            return LogicalError("BuildRequest: MergeStdout with Path stdout requires Spawn()");
+          default:
+            plan.Dup2(stdout_src, 2);
+            return Status::Ok();
+        }
       case Stdio::Kind::kPipe:
-        return LogicalError("unreachable: pipe checked above");
+        return LogicalError("BuildRequest: pipe stdio requires Spawn(), not BuildRequest()");
     }
     return LogicalError("unknown stdio kind");
   };
-
-  int stdout_src = stdout_spec_.kind() == Stdio::Kind::kFd ? stdout_spec_.fd() : 1;
-  FORKLIFT_RETURN_IF_ERROR(lower(stdin_spec_, 0, stdout_src));
-  FORKLIFT_RETURN_IF_ERROR(lower(stdout_spec_, 1, stdout_src));
-  if (stderr_spec_.kind() == Stdio::Kind::kMergeStdout &&
-      (stdout_spec_.kind() == Stdio::Kind::kPath ||
-       stdout_spec_.kind() == Stdio::Kind::kAppendPath)) {
-    // stdout is opened child-side at fd 1; stderr must clone that binding.
-    // Parent semantics cannot express "fd 1 after the open", so lower stderr
-    // as a second open of the same path in append-compatible mode sharing the
-    // offset is NOT possible; reject rather than silently mis-share.
-    return LogicalError("BuildRequest: MergeStdout with Path stdout requires Spawn()");
-  }
-  FORKLIFT_RETURN_IF_ERROR(lower(stderr_spec_, 2, stdout_src));
-  for (const auto& a : extra_fds_.actions()) {
-    switch (a.kind) {
-      case FdAction::Kind::kDup2:
-        plan.Dup2(a.src_fd, a.child_fd);
-        break;
-      case FdAction::Kind::kOpen:
-        plan.Open(a.path, a.flags, a.mode, a.child_fd);
-        break;
-      case FdAction::Kind::kClose:
-        plan.Close(a.child_fd);
-        break;
-      case FdAction::Kind::kInherit:
-        plan.Inherit(a.child_fd);
-        break;
-    }
-  }
-  FORKLIFT_ASSIGN_OR_RETURN(req.fd_plan, plan.Compile());
-
-  req.cwd = cwd_;
-  req.umask_value = umask_;
-  req.reset_signal_mask = reset_signals_;
-  req.reset_signal_handlers = reset_signals_;
-  req.new_session = new_session_;
-  req.process_group = process_group_;
-  req.nice_value = nice_value_;
-  req.rlimits = rlimits_;
-  req.close_other_fds = close_other_fds_;
-  return req;
+  FORKLIFT_RETURN_IF_ERROR(lower(stdin_spec_, 0));
+  FORKLIFT_RETURN_IF_ERROR(lower(stdout_spec_, 1));
+  FORKLIFT_RETURN_IF_ERROR(lower(stderr_spec_, 2));
+  return AssembleRequest(std::move(plan));
 }
 
-Result<Child> Spawner::Spawn() {
+Result<ProcessHandle> Spawner::Spawn() {
   SpawnTimeline timeline;
   timeline.submit_ns = MonotonicNanos();
 
-  SpawnRequest req;
-  req.program = program_;
-  req.use_path_search = program_.find('/') == std::string::npos;
-
-  std::vector<std::string> argv;
-  argv.push_back(argv0_.value_or(program_));
-  for (const auto& a : args_) {
-    argv.push_back(a);
-  }
-  req.argv = ArgvBlock(argv);
-  req.envp = ResolveEnv(inherit_env_, explicit_env_, env_overrides_, env_unsets_).ToBlock();
-
   // Stdio plumbing. Files are opened in the parent so open failures surface as
-  // clean errors before any process exists; pipes keep their parent ends in
-  // `child_pipes` until launch succeeds.
+  // clean errors before any process exists; pipes keep their parent ends
+  // until launch succeeds.
   FdPlan plan;
   std::vector<UniqueFd> temps;     // parent-held fds that die after launch
   UniqueFd pipe_in_parent;         // write end of the stdin pipe
@@ -372,63 +372,17 @@ Result<Child> Spawner::Spawn() {
   FORKLIFT_RETURN_IF_ERROR(lower(stdout_spec_, 1));
   FORKLIFT_RETURN_IF_ERROR(lower(stderr_spec_, 2));
 
-  for (const auto& a : extra_fds_.actions()) {
-    switch (a.kind) {
-      case FdAction::Kind::kDup2:
-        plan.Dup2(a.src_fd, a.child_fd);
-        break;
-      case FdAction::Kind::kOpen:
-        plan.Open(a.path, a.flags, a.mode, a.child_fd);
-        break;
-      case FdAction::Kind::kClose:
-        plan.Close(a.child_fd);
-        break;
-      case FdAction::Kind::kInherit:
-        plan.Inherit(a.child_fd);
-        break;
-    }
-  }
-  FORKLIFT_ASSIGN_OR_RETURN(req.fd_plan, plan.Compile());
-
-  req.cwd = cwd_;
-  req.umask_value = umask_;
-  req.reset_signal_mask = reset_signals_;
-  req.reset_signal_handlers = reset_signals_;
-  req.new_session = new_session_;
-  req.process_group = process_group_;
-  req.nice_value = nice_value_;
-  req.rlimits = rlimits_;
-  req.close_other_fds = close_other_fds_;
-
-  SpawnBackend* backend = nullptr;
-  switch (backend_kind_) {
-    case SpawnBackendKind::kForkExec:
-      backend = &ForkExecBackend();
-      break;
-    case SpawnBackendKind::kVfork:
-      backend = &VforkBackend();
-      break;
-    case SpawnBackendKind::kPosixSpawn:
-      backend = &PosixSpawnBackend();
-      break;
-    case SpawnBackendKind::kCloneVm:
-      backend = &Clone3Backend();
-      break;
-  }
-  if (backend == nullptr) {
-    return LogicalError("Spawn: unknown backend kind");
-  }
-
-  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, backend->Launch(req));
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, AssembleRequest(std::move(plan)));
+  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, BackendFor(backend_kind_).Launch(req));
   timeline.exec_confirmed_ns = MonotonicNanos();
   SpawnMetrics::Global().RecordSpawn(timeline);
 
-  Child child(pid);
-  child.timeline_ = timeline;
-  child.stdin_fd() = std::move(pipe_in_parent);
-  child.stdout_fd() = std::move(pipe_out_parent);
-  child.stderr_fd() = std::move(pipe_err_parent);
-  return child;
+  ProcessHandle handle =
+      ProcessHandle::FromLocalSpawn(pid, timeline, LocalRouteName(backend_kind_));
+  handle.stdin_fd() = std::move(pipe_in_parent);
+  handle.stdout_fd() = std::move(pipe_out_parent);
+  handle.stderr_fd() = std::move(pipe_err_parent);
+  return handle;
 }
 
 }  // namespace forklift

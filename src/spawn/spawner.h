@@ -31,8 +31,8 @@
 #include "src/common/env.h"
 #include "src/common/result.h"
 #include "src/spawn/backend.h"
-#include "src/spawn/child.h"
 #include "src/spawn/fd_actions.h"
+#include "src/spawn/process_handle.h"
 
 namespace forklift {
 
@@ -42,7 +42,7 @@ class Stdio {
   enum class Kind {
     kInherit,      // share the parent's descriptor (the default)
     kNull,         // /dev/null
-    kPipe,         // a pipe whose parent end lands on the Child handle
+    kPipe,         // a pipe whose parent end lands on the ProcessHandle
     kFd,           // a caller-supplied parent descriptor
     kPath,         // a file opened by the parent (write: create/truncate)
     kAppendPath,   // as kPath but O_APPEND
@@ -147,10 +147,16 @@ class Spawner {
            !owned_child_fds_.empty();
   }
 
-  // Launches the child.
-  Result<Child> Spawn();
+  // Launches the child on the selected engine. The handle's route() names
+  // that engine (LocalRouteName, e.g. "local:posix_spawn").
+  Result<ProcessHandle> Spawn();
 
  private:
+  // Everything but stdio: argv, env, `stdio` followed by the extra fd
+  // actions, and the attributes. Spawn() and BuildRequest() differ only in
+  // how they lower stdio into `stdio`.
+  Result<SpawnRequest> AssembleRequest(FdPlan stdio) const;
+
   std::string program_;
   std::optional<std::string> argv0_;
   std::vector<std::string> args_;

@@ -78,8 +78,7 @@ Result<ProcessHandle> Supervisor::SpawnChild(Service& svc) {
   if (service_ != nullptr) {
     return service_->Spawn(svc.spawner);
   }
-  FORKLIFT_ASSIGN_OR_RETURN(Child child, svc.spawner.Spawn());
-  return ProcessHandle::FromChild(std::move(child));
+  return svc.spawner.Spawn();
 }
 
 Result<Supervisor::ServiceId> Supervisor::Launch(const Spawner& spawner, std::string name,

@@ -59,6 +59,32 @@ TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim(" a b "), "a b");
 }
 
+TEST(ParseNumberTest, AcceptsOnlyTheWholeValue) {
+  unsigned long n = 7;
+  EXPECT_TRUE(ParseNumber("42", &n));
+  EXPECT_EQ(n, 42u);
+  EXPECT_FALSE(ParseNumber("", &n));
+  EXPECT_FALSE(ParseNumber("x", &n));
+  EXPECT_FALSE(ParseNumber("4x", &n));
+  EXPECT_FALSE(ParseNumber(" 4", &n));
+  EXPECT_FALSE(ParseNumber("-1", &n));
+  EXPECT_FALSE(ParseNumber("99999999999999999999999", &n));
+  EXPECT_EQ(n, 42u);  // untouched by every failure
+
+  unsigned mode = 0;
+  EXPECT_TRUE(ParseNumber("022", &mode, 8));
+  EXPECT_EQ(mode, 022u);
+  EXPECT_FALSE(ParseNumber("9", &mode, 8));
+
+  double seconds = 0;
+  EXPECT_TRUE(ParseNumber("0.25", &seconds));
+  EXPECT_DOUBLE_EQ(seconds, 0.25);
+  EXPECT_TRUE(ParseNumber("1e-3", &seconds));
+  EXPECT_DOUBLE_EQ(seconds, 1e-3);
+  EXPECT_FALSE(ParseNumber("abc", &seconds));
+  EXPECT_FALSE(ParseNumber("1.5s", &seconds));
+}
+
 TEST(HumanBytesTest, UnitsAndRounding) {
   EXPECT_EQ(HumanBytes(0), "0B");
   EXPECT_EQ(HumanBytes(512), "512B");

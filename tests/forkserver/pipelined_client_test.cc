@@ -423,5 +423,47 @@ TEST(PipelinedClientTest, ZygoteExecFailuresCompleteOnceAndLeaveNoChildren) {
   std::remove(noexec.c_str());
 }
 
+// Null stdout plus MergeStdout must discard stderr on a wire route as it
+// does locally. The zygote child opens /dev/null at fd 1 itself, so "fd 1"
+// as a dup2 source names the caller's stdout — which the encoder would ship
+// over SCM_RIGHTS, landing the child's stderr on the caller's terminal.
+TEST(PipelinedClientTest, MergeStdoutAfterNullStdoutStaysOffTheCallersStdout) {
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t zygote = handle->server_pid;
+  {
+    ForkServerClient client(std::move(handle->client_sock));
+    Spawner s("/bin/sh");
+    s.Args({"-c", "echo leak >&2"}).SetStdout(Stdio::Null()).SetStderr(Stdio::MergeStdout());
+    auto req = s.BuildRequest();
+    ASSERT_TRUE(req.ok()) << req.error().ToString();
+
+    // Our fd 1 is a pipe for the launch only; nothing may print until the
+    // real stdout is back.
+    auto sink = MakePipe();
+    ASSERT_TRUE(sink.ok());
+    std::fflush(stdout);
+    const int saved_stdout = ::dup(1);
+    ASSERT_GE(saved_stdout, 0);
+    ASSERT_EQ(::dup2(sink->write_end.get(), 1), 1);
+    auto pid = client.LaunchRequest(*req);
+    ASSERT_EQ(::dup2(saved_stdout, 1), 1);
+    ::close(saved_stdout);
+    sink->write_end.Reset();
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    auto st = client.WaitRemote(*pid);
+    ASSERT_TRUE(st.ok()) << st.error().ToString();
+    EXPECT_TRUE(st->Success());
+
+    // The child has exited, so whatever it wrote is already in the pipe.
+    ASSERT_TRUE(SetNonBlocking(sink->read_end.get(), true).ok());
+    char buf[64];
+    ssize_t n = ::read(sink->read_end.get(), buf, sizeof(buf));
+    EXPECT_LE(n, 0) << "caller's stdout got: " << std::string(buf, n > 0 ? n : 0);
+    EXPECT_TRUE(client.Shutdown().ok());
+  }
+  EXPECT_TRUE(WaitPid(zygote).ok());
+}
+
 }  // namespace
 }  // namespace forklift

@@ -70,7 +70,7 @@ TEST_F(TraceTest, RenderJsonListsSpans) {
 // The acceptance test: a full spawn through the service over a real sharded
 // pool reconstructs its entire lifecycle from the handle's one trace id.
 TEST_F(TraceTest, EndToEndSpawnLeavesCompleteSpanChain) {
-  auto pool = ShardedForkServer::Start(ShardedForkServer::Options{2, true});
+  auto pool = ShardedForkServer::Start(ShardedForkServer::Options{2});
   ASSERT_TRUE(pool.ok()) << pool.error().ToString();
   std::shared_ptr<ShardedForkServer> shared = std::move(*pool);
 

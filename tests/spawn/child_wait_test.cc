@@ -1,7 +1,7 @@
-// Child::WaitDeadline / Communicate over both exit-notification paths (pidfd
-// and the forced timer-poll fallback), plus the spawn-phase instrumentation
-// (SpawnTimeline / SpawnMetrics) stamped along the submit → exec-confirmed →
-// exit-observed pipeline.
+// WaitDeadline / Communicate on the handle Spawner::Spawn returns, over both
+// exit-notification paths (pidfd and the forced timer-poll fallback), plus
+// the spawn-phase instrumentation (SpawnMetrics) stamped along the submit →
+// exec-confirmed → exit-observed pipeline.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -92,22 +92,9 @@ INSTANTIATE_TEST_SUITE_P(PidfdAndFallback, ChildWaitBothPaths, ::testing::Values
                            return info.param ? "TimerPollFallback" : "Pidfd";
                          });
 
-TEST(SpawnTimelineTest, PhasesStampedInOrder) {
-  uint64_t before = MonotonicNanos();
-  auto child = Spawner("/bin/true").Spawn();
-  ASSERT_TRUE(child.ok());
-  const SpawnTimeline& after_spawn = child->timeline();
-  EXPECT_GE(after_spawn.submit_ns, before);
-  EXPECT_GE(after_spawn.exec_confirmed_ns, after_spawn.submit_ns);
-  EXPECT_EQ(after_spawn.exit_observed_ns, 0u);
-  EXPECT_FALSE(after_spawn.complete());
-
-  ASSERT_TRUE(child->Wait().ok());
-  const SpawnTimeline& after_wait = child->timeline();
-  EXPECT_GE(after_wait.exit_observed_ns, after_wait.exec_confirmed_ns);
-  EXPECT_TRUE(after_wait.complete());
-}
-
+// Each phase histogram takes a sample only when its two stamps are ordered,
+// so exactly one sample per phase proves the spawn stamped submit ≤
+// exec-confirmed ≤ exit-observed.
 TEST(SpawnMetricsTest, CountsSpawnsAndExits) {
   SpawnMetrics::Global().ResetForTest();
   auto child = Spawner("/bin/true").Spawn();
@@ -115,28 +102,19 @@ TEST(SpawnMetricsTest, CountsSpawnsAndExits) {
   auto mid = SpawnMetrics::Global().snapshot();
   EXPECT_EQ(mid.spawns, 1u);
   EXPECT_EQ(mid.exits_observed, 0u);
-  EXPECT_GT(mid.MeanSubmitToExecMicros(), 0.0);
+  EXPECT_EQ(mid.submit_to_exec_us.count, 1u);
+  EXPECT_GT(mid.submit_to_exec_us.sum, 0u);
+  EXPECT_EQ(mid.exec_to_exit_us.count, 0u);
 
+  ASSERT_TRUE(child->Wait().ok());
+  // A second wait reads the handle's cache and records nothing.
   ASSERT_TRUE(child->Wait().ok());
   auto done = SpawnMetrics::Global().snapshot();
   EXPECT_EQ(done.spawns, 1u);
   EXPECT_EQ(done.exits_observed, 1u);
-  EXPECT_GT(done.exec_to_exit_ns_total, 0u);
-}
-
-TEST(SpawnMetricsTest, BarePidHandlesStayOutOfMetrics) {
-  SpawnMetrics::Global().ResetForTest();
-  pid_t pid = ::fork();
-  if (pid == 0) {
-    ::_exit(0);
-  }
-  ASSERT_GT(pid, 0);
-  Child adopted(pid);
-  ASSERT_TRUE(adopted.Wait().ok());
-  // No Spawner ran, so there is no exec-confirmed phase to attribute.
-  auto snap = SpawnMetrics::Global().snapshot();
-  EXPECT_EQ(snap.spawns, 0u);
-  EXPECT_EQ(snap.exits_observed, 0u);
+  EXPECT_EQ(done.submit_to_exec_us.count, 1u);
+  EXPECT_EQ(done.exec_to_exit_us.count, 1u);
+  EXPECT_GT(done.exec_to_exit_us.sum, 0u);
 }
 
 }  // namespace

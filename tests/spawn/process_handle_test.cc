@@ -1,8 +1,9 @@
 // ProcessHandle: the mechanism-erased child handle. These tests pin the
-// handle-layer contract on the local Impl — idempotent Wait from every reap
-// path, deadline waits that keep the process collectable, kill semantics on
-// live/reaped/invalid handles, and Communicate parity with Child — so the
-// remote Impls only need to honor the Impl vtable to inherit it.
+// handle-layer contract on the local Impl that Spawner::Spawn returns —
+// idempotent Wait from every reap path, deadline waits that keep the process
+// collectable, kill semantics on live/reaped/invalid handles, and
+// Communicate — so the remote Impls only need to honor the Impl vtable to
+// inherit it.
 #include "src/spawn/process_handle.h"
 
 #include <gtest/gtest.h>
@@ -18,14 +19,14 @@ namespace {
 ProcessHandle MustSpawn(Spawner& s) {
   auto child = s.Spawn();
   EXPECT_TRUE(child.ok()) << child.error().ToString();
-  return ProcessHandle::FromChild(std::move(child).value());
+  return std::move(child).value();
 }
 
 TEST(ProcessHandleTest, WaitIsIdempotent) {
   Spawner s("/bin/sh");
   s.Args({"-c", "exit 7"});
   ProcessHandle h = MustSpawn(s);
-  EXPECT_EQ(h.route(), "local");
+  EXPECT_EQ(h.route(), "local:forkexec");
 
   auto first = h.Wait();
   ASSERT_TRUE(first.ok()) << first.error().ToString();

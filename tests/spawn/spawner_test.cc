@@ -42,11 +42,28 @@ std::string StatusField(const std::string& path, const std::string& key) {
 class SpawnerBackendTest : public ::testing::TestWithParam<SpawnBackendKind> {
  protected:
   SpawnBackendKind backend() const { return GetParam(); }
+
+  // Spelled out rather than taken from LocalRouteName, so a renamed route
+  // fails here.
+  std::string ExpectedRoute() const {
+    switch (backend()) {
+      case SpawnBackendKind::kForkExec:
+        return "local:forkexec";
+      case SpawnBackendKind::kVfork:
+        return "local:vfork";
+      case SpawnBackendKind::kPosixSpawn:
+        return "local:posix_spawn";
+      case SpawnBackendKind::kCloneVm:
+        return "local:clone3";
+    }
+    return "";
+  }
 };
 
 TEST_P(SpawnerBackendTest, TrueExitsZero) {
   auto child = Spawner("/bin/true").SetBackend(backend()).Spawn();
   ASSERT_TRUE(child.ok()) << child.error().ToString();
+  EXPECT_EQ(child->route(), ExpectedRoute());
   auto st = child->Wait();
   ASSERT_TRUE(st.ok());
   EXPECT_TRUE(st->Success());

@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/spawn/command.h"
 
@@ -111,6 +112,24 @@ TEST(ForkliftRunTest, BadUsageReturns125) {
   auto r2 = RunAndCapture(kRun, {"--env"});  // missing value and no program
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->status.exit_code, 125);
+
+  // A malformed number is a usage error naming its flag, never a silent 0.
+  const std::vector<std::vector<std::string>> malformed = {
+      {"--timeout", "abc"},
+      {"--backend", "forkexec", "--umask", "9"},
+      {"--backend", "forkexec", "--rlimit-nofile", "x"},
+      {"--shards", "x"},
+      {"--shards", "-1"},
+  };
+  for (const auto& flags : malformed) {
+    std::vector<std::string> args = flags;
+    args.insert(args.end(), {"--", "/bin/true"});
+    auto bad = RunAndCapture(kRun, args);
+    ASSERT_TRUE(bad.ok());
+    const std::string& flag = flags[flags.size() - 2];
+    EXPECT_EQ(bad->status.exit_code, 125) << flag;
+    EXPECT_NE(bad->stderr_data.find(flag), std::string::npos) << bad->stderr_data;
+  }
 }
 
 TEST(ForkliftRunTest, AuditPrintsReport) {

@@ -67,7 +67,7 @@ class ForkliftdTest : public ::testing::Test {
 
   static int counter_;
   std::string socket_path_;
-  Child daemon_;
+  ProcessHandle daemon_;
 };
 
 int ForkliftdTest::counter_ = 0;

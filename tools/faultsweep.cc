@@ -42,6 +42,7 @@
 #include "src/common/pipe.h"
 #include "src/common/reactor.h"
 #include "src/common/result.h"
+#include "src/common/string_util.h"
 #include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
 #include "src/forkserver/client.h"
@@ -132,22 +133,9 @@ bool NoChildrenLeft(std::string* detail) {
 // Scenario helpers.
 // ---------------------------------------------------------------------------
 
-// Reclaims a spawned Child on every exit path: the zombie invariant holds
-// even when an injected fault aborts the scenario halfway.
-class ChildGuard {
- public:
-  explicit ChildGuard(Child* child) : child_(child) {}
-  ~ChildGuard() {
-    if (child_ != nullptr && child_->valid()) (void)child_->KillAndWait();
-  }
-  void Disarm() { child_ = nullptr; }
-
- private:
-  Child* child_;
-};
-
-// Same, for a routed ProcessHandle (KillAndWait is a no-op once the status
-// is cached, so guarding the success path too is harmless).
+// Reclaims a spawned process on every exit path: the zombie invariant holds
+// even when an injected fault aborts the scenario halfway (KillAndWait is a
+// no-op once the status is cached, so guarding the success path is harmless).
 class HandleGuard {
  public:
   explicit HandleGuard(ProcessHandle* handle) : handle_(handle) {}
@@ -210,7 +198,7 @@ Status ScenarioSpawn() {
                      .SetStdout(Stdio::Pipe())
                      .Spawn();
     if (!child.ok()) return Err(child.error());
-    ChildGuard guard(&*child);
+    HandleGuard guard(&*child);
     static const char kPayload[] = "forklift fault sweep payload\n";
     FORKLIFT_RETURN_IF_ERROR(
         WriteFull(child->stdin_fd().get(), kPayload, sizeof(kPayload) - 1));
@@ -230,7 +218,7 @@ Status ScenarioSpawn() {
                      .SetStdout(Stdio::Pipe())
                      .Spawn();
     if (!child.ok()) return Err(child.error());
-    ChildGuard guard(&*child);
+    HandleGuard guard(&*child);
     auto outcome = child->Communicate();
     if (!outcome.ok()) return Err(outcome.error());
     if (outcome->stdout_data != "reactor-path\n") {
@@ -765,10 +753,15 @@ int Main(int argc, char** argv) {
     } else if (const char* glob = value("--site=")) {
       opt.site_glob = glob;
     } else if (const char* cap = value("--nth-cap=")) {
-      opt.nth_cap = ::strtoull(cap, nullptr, 10);
-      if (opt.nth_cap == 0) return Usage();
+      if (!ParseNumber(cap, &opt.nth_cap) || opt.nth_cap == 0) {
+        ::fprintf(stderr, "faultsweep: --nth-cap wants a positive count, not '%s'\n", cap);
+        return Usage();
+      }
     } else if (const char* seed = value("--seed=")) {
-      opt.seed = ::strtoull(seed, nullptr, 10);
+      if (!ParseNumber(seed, &opt.seed)) {
+        ::fprintf(stderr, "faultsweep: --seed wants a number, not '%s'\n", seed);
+        return Usage();
+      }
     } else if (arg == "--list") {
       opt.list_only = true;
     } else if (arg == "--verbose") {

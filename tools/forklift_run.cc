@@ -37,8 +37,8 @@
 //
 // Exit status: the child's (128+signal if signaled), or 125 for launcher
 // errors, 127/126 for exec errors — the conventions xargs/timeout use.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -62,6 +62,11 @@ int Usage(const char* argv0) {
                "usage: %s [options] -- program [args...]\n"
                "see the header of tools/forklift_run.cc for the option list\n",
                argv0);
+  return 125;
+}
+
+int BadValue(const char* flag, const std::string& value, const char* want) {
+  std::fprintf(stderr, "forklift-run: %s wants %s, not '%s'\n", flag, want, value.c_str());
   return 125;
 }
 
@@ -134,7 +139,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      shards = static_cast<size_t>(std::strtoul(v->c_str(), nullptr, 10));
+      if (!ParseNumber(*v, &shards)) {
+        return BadValue("--shards", *v, "a shard count");
+      }
     } else if (a == "--env") {
       v = need_value("--env");
       if (!v.ok()) {
@@ -207,14 +214,22 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      umask_value = static_cast<mode_t>(std::strtol(v->c_str(), nullptr, 8));
+      mode_t mask = 0;
+      if (!ParseNumber(*v, &mask, 8) || mask > 0777) {
+        return BadValue("--umask", *v, "an octal mode up to 0777");
+      }
+      umask_value = mask;
     } else if (a == "--rlimit-nofile") {
       v = need_value("--rlimit-nofile");
       if (!v.ok()) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      nofile = static_cast<rlim_t>(std::strtoul(v->c_str(), nullptr, 10));
+      rlim_t limit = 0;
+      if (!ParseNumber(*v, &limit)) {
+        return BadValue("--rlimit-nofile", *v, "a descriptor count");
+      }
+      nofile = limit;
     } else if (a == "--close-other-fds") {
       close_other_fds = true;
     } else if (a == "--new-session") {
@@ -232,7 +247,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "forklift-run: %s\n", v.error().ToString().c_str());
         return 125;
       }
-      timeout_seconds = std::strtod(v->c_str(), nullptr);
+      if (!ParseNumber(*v, &timeout_seconds) || !std::isfinite(timeout_seconds) ||
+          timeout_seconds < 0) {
+        return BadValue("--timeout", *v, "a number of seconds");
+      }
     } else {
       std::fprintf(stderr, "forklift-run: unknown option '%s'\n", a.c_str());
       return Usage(argv[0]);
@@ -323,7 +341,7 @@ int main(int argc, char** argv) {
                                          : ForkServerTransport::ConnectLazy(socket_path));
     service.AddLocalRoute(SpawnBackendKind::kPosixSpawn);
   } else if (backend == "sharded") {
-    service.AddRoute(ShardedTransport::StartLazy(ShardedForkServer::Options{shards, true}));
+    service.AddRoute(ShardedTransport::StartLazy(ShardedForkServer::Options{shards}));
     service.AddRoute(ForkServerTransport::StartInProcess());
     service.AddLocalRoute(SpawnBackendKind::kPosixSpawn);
   } else {  // auto: a given --socket is the preferred route, local otherwise
