@@ -75,7 +75,7 @@ struct Injection {
 };
 
 // A parsed FORKLIFT_FAULTS specification, e.g.
-//   FORKLIFT_FAULTS=seed=42,site=fdtransfer.*,mode=eintr,every=3
+//   FORKLIFT_FAULTS=seed=42,site=wire.*,mode=eintr,every=3
 //   FORKLIFT_FAULTS=site=syscall.read_full,mode=short,nth=2
 //   FORKLIFT_FAULTS=trace=1
 struct PlanSpec {

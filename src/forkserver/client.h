@@ -16,6 +16,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -38,17 +39,15 @@ namespace forklift {
 // requests concurrently; each request gets a fresh request_id and a
 // completion slot, and the receiver thread completes slots as replies
 // arrive — in whatever order the server answers. Completed slots are
-// recycled, so the steady-state hot path allocates nothing.
+// recycled.
 //
-// The send path is a flat-combining submission queue: each submitter encodes
-// its frame (length prefix inline) into a recycled buffer and enqueues it.
-// The first submitter to find no active flusher becomes the flusher and
-// drains the queue — everything queued by then, including frames other
-// threads appended while it was encoding — in one writev per run. A lone
-// request is never delayed: with an empty queue the submitter flushes its own
-// frame immediately. Frames carrying fds are sent synchronously (the fds are
-// borrowed): the pending run is flushed first for ordering, then the frame
-// goes out as a single sendmsg with the fds attached to its own first bytes.
+// One way onto the wire: each submitter sends its own frame. Under one send
+// lock it registers its slot, encodes the frame into the channel's reused
+// writer and writes it with one SendFrame; descriptors ride the same
+// sendmsg. The lock orders frames, so an fd-carrying frame is never split by
+// another thread's bytes. One way off it: the receiver thread reads frames
+// with RecvFrame and parks each raw reply frame in its slot; the awaiting
+// PendingReply decodes it.
 class ForkServerClient {
   struct Slot;
 
@@ -92,6 +91,10 @@ class ForkServerClient {
    private:
     friend class ForkServerClient;
     PendingReply(ForkServerClient* client, Slot* slot) : client_(client), slot_(slot) {}
+    // Collects the raw reply frame (ForkServerClient::Collect) and consumes
+    // the handle unless the wait timed out.
+    Result<std::optional<std::string>> Collect(std::optional<double> timeout_seconds);
+    Result<std::string> Take();  // Collect without a timeout
 
     ForkServerClient* client_ = nullptr;
     Slot* slot_ = nullptr;
@@ -142,57 +145,47 @@ class ForkServerClient {
   bool dead() const;
 
  private:
-  Result<PendingReply> SubmitSpawn(const SpawnRequest& req, uint64_t request_id);
-  Result<PendingReply> SubmitWait(pid_t pid);
-  Result<PendingReply> SubmitControl(MsgType type, const std::vector<int>& fds);
-  Result<PendingReply> SubmitStats(obs::StatsFormat format);
+  // Encodes one request frame, header included, under `meta` into `w`, and
+  // appends the descriptors the frame must carry to `fds`.
+  using FrameEncoder =
+      std::function<Status(WireWriter& w, const FrameMeta& meta, std::vector<int>* fds)>;
 
-  // --- submission queue ---
-  // Takes a recycled encode buffer (or a fresh one) for a framed encode.
-  std::string TakeBuf();
-  void RecycleBuf(std::string buf);
-  // Enqueues a complete frame (length prefix included); becomes the flusher
-  // if none is active. Transport failures are not reported here — they kill
-  // the channel (Die) and surface through every pending slot's Await.
-  void SubmitFramed(std::string frame);
-  // Synchronous fd-carrying submit: waits out any active flusher, drains the
-  // queue for ordering, then sends `frame` (prefix included, `fds` attached
-  // to its first bytes) as one sendmsg. Returns the transport status so the
-  // caller can recycle its buffer either way.
-  Status SubmitFdFrame(std::string_view frame, const std::vector<int>& fds);
-  // Drains q_ in gathered runs; called with q_mu_ held and flushing_ set,
-  // releases the lock around each writev. On transport failure kills the
-  // channel and discards the queue.
-  void DrainQueue(std::unique_lock<std::mutex>& lock);
+  // The one send path. Under send_mu_: registers a slot for `request_id` (0
+  // allocates a fresh id), encodes the frame into out_ and writes it with one
+  // SendFrame. Exact contract: an error means no whole frame reached the
+  // wire, the slot is gone, and the request is safely retryable elsewhere
+  // (ForkServerTransport and the sharded router rely on this). A failed write
+  // kills the channel while still holding send_mu_, because the stream may
+  // now end mid-frame: every later sender finds it dead and fails without
+  // writing.
+  Result<PendingReply> Submit(uint64_t request_id, const FrameEncoder& encode);
 
   // Registers a slot for the given id — 0 allocates a fresh one (mu_).
   Slot* AcquireSlotLocked(uint64_t* id_out, uint64_t explicit_id);
   void FreeSlotLocked(Slot* slot);
-  // Unregisters + frees a slot whose frame never hit the wire.
-  void AbortSubmit(uint64_t id, Slot* slot);
 
-  Result<pid_t> AwaitSpawn(Slot* slot);
-  Result<ExitStatus> AwaitWait(Slot* slot);
-  Result<std::string> AwaitStatsSlot(Slot* slot);
-  Result<std::optional<ExitStatus>> AwaitWaitFor(Slot* slot, double timeout_seconds);
-  Status AwaitControlSlot(Slot* slot, MsgType expected);
+  // The one reply collector: waits for `slot` to complete — at most
+  // `timeout_seconds` when given, returning nullopt with the slot still
+  // registered — then recycles it and returns its raw reply frame or the
+  // transport failure.
+  Result<std::optional<std::string>> Collect(Slot* slot,
+                                             std::optional<double> timeout_seconds);
   void DiscardSlot(Slot* slot);  // un-awaited handle destroyed
 
   void ReceiverLoop();
-  void DispatchFrame(const struct Frame& frame);
+  // Parks a reply's raw frame in the slot its request_id names (swapping
+  // payload buffers with `frame`).
+  void DispatchFrame(struct Frame* frame);
   // Fails every pending request and marks the channel dead.
   void Die(const Status& cause);
 
   UniqueFd sock_;
 
-  // Send side: the flat-combining submission queue. q_mu_ protects the queue
-  // and flusher election only — it is never held across a syscall (DrainQueue
-  // releases it around each writev) and never taken together with mu_.
-  std::mutex q_mu_;
-  std::condition_variable q_cv_;  // signaled when flushing_ clears
-  std::vector<std::string> q_;    // complete frames awaiting the wire
-  std::vector<std::string> spare_bufs_;  // recycled encode buffers
-  bool flushing_ = false;
+  // Send side: serialises whole frames onto the wire. Lock order: send_mu_
+  // before mu_.
+  std::mutex send_mu_;
+  WireWriter out_;         // reused encode buffer (send_mu_)
+  std::vector<int> fds_;   // the frame's borrowed descriptors (send_mu_)
 
   // Completion state shared with the receiver thread. Request ids come from
   // the process-wide obs::NextRequestId counter (they double as trace ids),

@@ -36,126 +36,10 @@ obs::Counter& RecvmsgOps() {
   return c;
 }
 
-// Sends `len` bytes starting at `data`, attaching `fds` to the first segment.
-Status SendAll(int sock, const void* data, size_t len, const std::vector<int>& fds) {
-  const char* p = static_cast<const char*>(data);
-  bool fds_pending = !fds.empty();
-  size_t sent = 0;
-  while (sent < len || fds_pending) {
-    auto inj = fault::Check("fdtransfer.sendmsg", fault::Op::kSendmsg);
-
-    msghdr msg{};
-    iovec iov{};
-    iov.iov_base = const_cast<char*>(p + sent);
-    iov.iov_len = len - sent;
-    // A short send must still carry the fds: SCM_RIGHTS rides whatever first
-    // segment succeeds, however small.
-    if (inj.is_short() && iov.iov_len > 1) iov.iov_len = 1;
-    msg.msg_iov = &iov;
-    msg.msg_iovlen = 1;
-
-    alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int) * kMaxFdsPerFrame)];
-    if (fds_pending) {
-      msg.msg_control = cbuf;
-      msg.msg_controllen = CMSG_SPACE(sizeof(int) * fds.size());
-      cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
-      cmsg->cmsg_level = SOL_SOCKET;
-      cmsg->cmsg_type = SCM_RIGHTS;
-      cmsg->cmsg_len = CMSG_LEN(sizeof(int) * fds.size());
-      std::memcpy(CMSG_DATA(cmsg), fds.data(), sizeof(int) * fds.size());
-    }
-
-    ssize_t n;
-    if (inj.is_errno()) {
-      n = -1;
-      errno = inj.err;
-    } else {
-      n = ::sendmsg(sock, &msg, MSG_NOSIGNAL);
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Non-blocking peer socket with a full buffer: wait for space and
-        // resume — a frame must never be abandoned halfway.
-        FORKLIFT_RETURN_IF_ERROR(WaitFdWritable(sock));
-        continue;
-      }
-      return ErrnoError("sendmsg");
-    }
-    SendmsgOps().Increment();
-    fds_pending = false;  // ancillary data goes out with the first successful segment
-    sent += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-// Receives exactly `len` bytes; any SCM_RIGHTS descriptors encountered are
-// appended to `fds` (already wrapped for leak-safety). Returns bytes received
-// (< len only if EOF).
-Result<size_t> RecvAll(int sock, void* data, size_t len, std::vector<UniqueFd>* fds) {
-  char* p = static_cast<char*>(data);
-  size_t got = 0;
-  while (got < len) {
-    auto inj = fault::Check("fdtransfer.recvmsg", fault::Op::kRecvmsg);
-
-    msghdr msg{};
-    iovec iov{};
-    iov.iov_base = p + got;
-    iov.iov_len = len - got;
-    // A short receive still delivers the ancillary payload attached to the
-    // byte it reads — the fd-collection loop below must cope either way.
-    if (inj.is_short() && iov.iov_len > 1) iov.iov_len = 1;
-    msg.msg_iov = &iov;
-    msg.msg_iovlen = 1;
-    alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int) * kMaxFdsPerFrame)];
-    msg.msg_control = cbuf;
-    msg.msg_controllen = sizeof(cbuf);
-
-    ssize_t n;
-    if (inj.is_errno()) {
-      n = -1;
-      errno = inj.err;
-    } else {
-      n = ::recvmsg(sock, &msg, MSG_CMSG_CLOEXEC);
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        FORKLIFT_RETURN_IF_ERROR(WaitFdReadable(sock));
-        continue;
-      }
-      return ErrnoError("recvmsg");
-    }
-    RecvmsgOps().Increment();
-    for (cmsghdr* cmsg = CMSG_FIRSTHDR(&msg); cmsg != nullptr; cmsg = CMSG_NXTHDR(&msg, cmsg)) {
-      if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SCM_RIGHTS) {
-        size_t nfds = (cmsg->cmsg_len - CMSG_LEN(0)) / sizeof(int);
-        const int* cfds = reinterpret_cast<const int*>(CMSG_DATA(cmsg));
-        for (size_t i = 0; i < nfds; ++i) {
-          fds->emplace_back(cfds[i]);
-        }
-      }
-    }
-    if ((msg.msg_flags & MSG_CTRUNC) != 0) {
-      return LogicalError("recvmsg: ancillary data truncated (too many fds?)");
-    }
-    if (n == 0) {
-      break;  // EOF
-    }
-    got += static_cast<size_t>(n);
-  }
-  return got;
-}
-
 }  // namespace
 
 Result<uint64_t> SendGathered(int sock, struct iovec* iov, size_t iovcnt,
-                              const std::vector<int>& fds, size_t* sent_bytes) {
-  if (sent_bytes != nullptr) *sent_bytes = 0;
+                              const std::vector<int>& fds) {
   if (fds.size() > kMaxFdsPerFrame) {
     return LogicalError("SendGathered: too many fds (" + std::to_string(fds.size()) + ")");
   }
@@ -174,7 +58,6 @@ Result<uint64_t> SendGathered(int sock, struct iovec* iov, size_t iovcnt,
       return Err(r.error());
     }
     WritevOps().Increment(*r);
-    if (sent_bytes != nullptr) *sent_bytes = total;
     return *r;
   }
 
@@ -183,7 +66,6 @@ Result<uint64_t> SendGathered(int sock, struct iovec* iov, size_t iovcnt,
   // frame first, are that frame's own first bytes).
   uint64_t syscalls = 0;
   size_t idx = 0;
-  size_t sent = 0;
   bool fds_pending = true;
   while (idx < iovcnt) {
     if (iov[idx].iov_len == 0) {
@@ -232,13 +114,11 @@ Result<uint64_t> SendGathered(int sock, struct iovec* iov, size_t iovcnt,
         FORKLIFT_RETURN_IF_ERROR(WaitFdWritable(sock));
         continue;
       }
-      if (sent_bytes != nullptr) *sent_bytes = sent;
       return ErrnoError("sendmsg");
     }
     SendmsgOps().Increment();
     ++syscalls;
     fds_pending = false;
-    sent += static_cast<size_t>(n);
     size_t done = static_cast<size_t>(n);
     while (done > 0 && idx < iovcnt) {
       if (done >= iov[idx].iov_len) {
@@ -252,14 +132,10 @@ Result<uint64_t> SendGathered(int sock, struct iovec* iov, size_t iovcnt,
       }
     }
   }
-  if (sent_bytes != nullptr) *sent_bytes = sent;
   return syscalls;
 }
 
 Status SendFrame(int sock, std::string_view payload, const std::vector<int>& fds) {
-  if (fds.size() > kMaxFdsPerFrame) {
-    return LogicalError("SendFrame: too many fds (" + std::to_string(fds.size()) + ")");
-  }
   if (payload.empty() && !fds.empty()) {
     return LogicalError("SendFrame: fds require a non-empty payload");
   }
@@ -269,22 +145,11 @@ Status SendFrame(int sock, std::string_view payload, const std::vector<int>& fds
   iov[0].iov_len = sizeof(len);
   iov[1].iov_base = const_cast<char*>(payload.data());
   iov[1].iov_len = payload.size();
-  size_t iovcnt = payload.empty() ? 1 : 2;
-
-  size_t sent = 0;
-  auto r = SendGathered(sock, iov, iovcnt, fds, &sent);
-  if (r.ok()) {
-    return Status::Ok();
+  auto sent = SendGathered(sock, iov, payload.empty() ? 1 : 2, fds);
+  if (!sent.ok()) {
+    return Err(sent.error());
   }
-  if (!fds.empty() && sent == 0) {
-    // Combined prefix+payload+fds sendmsg failed cleanly before any byte hit
-    // the wire; retry in the legacy two-syscall shape so a fault confined to
-    // the combined path degrades to the slow path instead of failing the
-    // frame.
-    FORKLIFT_RETURN_IF_ERROR(SendAll(sock, &len, sizeof(len), {}));
-    return SendAll(sock, payload.data(), payload.size(), fds);
-  }
-  return Err(r.error());
+  return Status::Ok();
 }
 
 void FrameBuffer::Append(const char* data, size_t n, std::vector<UniqueFd> fds) {
@@ -409,37 +274,24 @@ Result<DrainStatus> DrainSocketInto(int sock, FrameBuffer* fb, size_t max_bytes)
   }
 }
 
-Status RecvFrameInto(int sock, RecvResult* out, size_t max_payload) {
-  out->frame.fds.clear();
-  out->frame.payload.clear();  // keeps capacity for the next frame
-  out->eof = false;
-  uint32_t len = 0;
-  FORKLIFT_ASSIGN_OR_RETURN(size_t got, RecvAll(sock, &len, sizeof(len), &out->frame.fds));
-  if (got == 0) {
-    out->eof = true;
-    return Status::Ok();
-  }
-  if (got != sizeof(len)) {
-    return LogicalError("RecvFrame: truncated length prefix");
-  }
-  if (len > max_payload) {
-    return LogicalError("RecvFrame: payload length " + std::to_string(len) + " exceeds cap");
-  }
-  out->frame.payload.resize(len);
-  if (len > 0) {
-    FORKLIFT_ASSIGN_OR_RETURN(size_t body,
-                              RecvAll(sock, out->frame.payload.data(), len, &out->frame.fds));
-    if (body != len) {
-      return LogicalError("RecvFrame: truncated payload");
+Result<bool> RecvFrame(int sock, FrameBuffer* fb, Frame* out) {
+  for (;;) {
+    FORKLIFT_ASSIGN_OR_RETURN(bool has, fb->Next(out));
+    if (has) {
+      return true;
+    }
+    FORKLIFT_ASSIGN_OR_RETURN(DrainStatus drained, DrainSocketInto(sock, fb));
+    if (drained.eof) {
+      if (fb->buffered() != 0) {
+        return LogicalError("RecvFrame: peer closed mid-frame");
+      }
+      return false;
+    }
+    if (drained.would_block) {
+      // An O_NONBLOCK socket: park until readable rather than spinning.
+      FORKLIFT_RETURN_IF_ERROR(WaitFdReadable(sock));
     }
   }
-  return Status::Ok();
-}
-
-Result<RecvResult> RecvFrame(int sock, size_t max_payload) {
-  RecvResult out;
-  FORKLIFT_RETURN_IF_ERROR(RecvFrameInto(sock, &out, max_payload));
-  return out;
 }
 
 }  // namespace forklift

@@ -6,15 +6,17 @@
 // capability that plain fork gets by ambient copying and spawn APIs must pass
 // explicitly.
 //
-// The wire path is syscall-amortized: senders gather a run of frames into one
-// writev (SendGathered), receivers drain whatever the socket holds in one
+// There is one way onto the wire and one way off it. SendGathered writes a
+// run of already-framed bytes, with any fds on its first bytes, and SendFrame
+// frames one payload for it. Receivers drain whatever the socket holds in one
 // recvmsg gulp (DrainSocketInto) and parse every complete frame out of the
-// accumulated bytes (FrameBuffer). Descriptor attribution across gulps relies
-// on AF_UNIX semantics: SCM_RIGHTS attaches to the first byte its sendmsg
-// carries, and recvmsg stops right AFTER the segment that delivered ancillary
-// data — but it happily merges same-sender plain segments in ahead of it. A
-// gulp that collects fds may therefore begin before the carrying frame, but
-// it always *ends* inside it, so fds are attributed by the gulp's last byte.
+// accumulated bytes (FrameBuffer); RecvFrame runs that pair as a blocking
+// loop until one frame is complete. Descriptor attribution across gulps relies on AF_UNIX semantics:
+// SCM_RIGHTS attaches to the first byte its sendmsg carries, and recvmsg
+// stops right AFTER the segment that delivered ancillary data — but it
+// happily merges same-sender plain segments in ahead of it. A gulp that
+// collects fds may therefore begin before the carrying frame, but it always
+// *ends* inside it, so fds are attributed by the gulp's last byte.
 #ifndef SRC_FORKSERVER_FD_TRANSFER_H_
 #define SRC_FORKSERVER_FD_TRANSFER_H_
 
@@ -39,24 +41,20 @@ struct Frame {
   std::vector<UniqueFd> fds;
 };
 
-// Sends payload + fds as one frame. `fds` are borrowed, not consumed. The
-// length prefix, payload, and ancillary fds go out in a single writev/sendmsg;
-// if the combined sendmsg fails outright before any byte is on the wire, the
-// legacy two-syscall shape (prefix, then payload carrying the fds) is retried
-// once so an injected fault on the combined path degrades instead of failing.
+// Sends payload + fds as one frame: the length prefix, the payload and the
+// ancillary fds go out through one SendGathered. `fds` are borrowed, not
+// consumed, and need a non-empty payload to ride.
 Status SendFrame(int sock, std::string_view payload, const std::vector<int>& fds = {});
 
-// Writes every byte of `iov[0..iovcnt)` — typically a coalesced run of
-// already-framed messages — attaching `fds` to the first bytes that make it
-// out. Without fds this is one writev per run (faultinject site
-// `syscall.writev_full`); with fds it is a sendmsg loop (site
-// `wire.sendmsg_fds`) that resumes short writes at the interrupted iovec
-// offset. Mutates `iov` to track progress. Returns the number of syscalls that
-// moved bytes. `sent_bytes`, when non-null, receives the byte count delivered
-// before any failure (SendFrame's fallback needs "did anything hit the wire").
+// Writes every byte of `iov[0..iovcnt)` — one or more already-framed messages
+// — attaching `fds` to the first bytes that make it out. Without fds this is
+// one writev per run (faultinject site `syscall.writev_full`); with fds it is
+// a sendmsg loop (site `wire.sendmsg_fds`) that resumes short writes at the
+// interrupted iovec offset. Mutates `iov` to track progress. Returns the
+// number of syscalls that moved bytes; an error means the run did not reach
+// the wire whole.
 Result<uint64_t> SendGathered(int sock, struct iovec* iov, size_t iovcnt,
-                              const std::vector<int>& fds,
-                              size_t* sent_bytes = nullptr);
+                              const std::vector<int>& fds);
 
 // Reassembles frames from a byte stream that arrives in arbitrary gulps.
 // Purely a parser — no I/O. Descriptors recorded by Append are attributed to
@@ -106,19 +104,13 @@ struct DrainStatus {
 Result<DrainStatus> DrainSocketInto(int sock, FrameBuffer* fb,
                                     size_t max_bytes = 64u << 10);
 
-// Receives one frame. Returns an empty-payload frame with `eof == true` when
-// the peer closed cleanly between frames. `max_payload` caps allocation.
-struct RecvResult {
-  Frame frame;
-  bool eof = false;
-};
-Result<RecvResult> RecvFrame(int sock, size_t max_payload = 16u << 20);
-
-// Same, but fills a caller-owned RecvResult so a long-lived receive loop can
-// reuse the payload buffer's capacity across frames (zero steady-state
-// allocations once the buffer has grown to the working frame size). `out` is
-// reset (fds cleared, eof = false) before receiving.
-Status RecvFrameInto(int sock, RecvResult* out, size_t max_payload = 16u << 20);
+// Receives the next frame on a blocking loop over `fb` and DrainSocketInto:
+// true with the frame in `out` (payload capacity is reused), false when the
+// peer closed cleanly between frames, an error on a failed recvmsg, a peer
+// that closed mid-frame, or a framing error (hostile length prefix, too many
+// fds). `fb` carries bytes already received past the returned frame, so a
+// caller keeps one per socket.
+Result<bool> RecvFrame(int sock, FrameBuffer* fb, Frame* out);
 
 }  // namespace forklift
 

@@ -66,6 +66,7 @@ Result<UniqueFd> BindUnixListener(const std::string& path) {
   return listener;
 }
 
+// Replies per coalesced burst write: the only batching on the wire.
 obs::Histogram& FramesPerFlush() {
   static obs::Histogram h =
       obs::MetricsRegistry::Global().GetHistogram("forklift_wire_frames_per_flush");
@@ -135,10 +136,7 @@ void ForkServer::OnListenerReadable(int listener_fd) {
 void ForkServer::QueueReply(int sock, std::string_view payload) {
   auto it = channels_.find(sock);
   if (it == channels_.end()) {
-    // Not a registered channel (closed underneath a parked wait, or a test
-    // driving handlers directly): best-effort immediate send.
-    (void)SendFrame(sock, payload);
-    return;
+    return;  // the channel closed under a parked wait: nobody is left to answer
   }
   const uint32_t len = static_cast<uint32_t>(payload.size());
   char prefix[sizeof(len)];
@@ -188,7 +186,11 @@ void ForkServer::OnChannelReadable(int fd) {
   // wakeup — replies accumulate in the channel's out-buffer and leave in one
   // writev below. The channel iterator is re-found per frame: a handler can
   // close channels (parked-wait completion to a broken peer) or adopt new
-  // ones mid-burst.
+  // ones mid-burst. A failure confined to this channel — a drain error, a
+  // framing error, EOF, a reply flush its peer cannot take — ends the burst:
+  // its replies are flushed and only this channel closes. (A flush to a peer
+  // that is alive but never reads still blocks the reactor; see server.h.)
+  Status cause;  // set when a failure of this channel alone must close it
   bool at_eof = false;
   for (;;) {
     auto it = channels_.find(fd);
@@ -197,8 +199,8 @@ void ForkServer::OnChannelReadable(int fd) {
     }
     auto drained = DrainSocketInto(fd, &it->second.in);
     if (!drained.ok()) {
-      serve_error_ = Err(drained.error());
-      return;
+      cause = Err(drained.error());
+      break;
     }
     at_eof = drained->eof;
     for (;;) {
@@ -209,8 +211,8 @@ void ForkServer::OnChannelReadable(int fd) {
       Frame frame;
       auto has = it->second.in.Next(&frame);
       if (!has.ok()) {
-        serve_error_ = Err(has.error());
-        return;
+        cause = Err(has.error());
+        break;
       }
       if (!*has) {
         break;
@@ -229,26 +231,36 @@ void ForkServer::OnChannelReadable(int fd) {
         return;
       }
     }
-    if (at_eof || drained->would_block) {
+    if (!cause.ok() || at_eof || drained->would_block) {
       break;
     }
     // Full gulp with neither EAGAIN nor EOF: the socket may hold more.
   }
-  Status flushed = FlushReplies(fd);
-  if (!flushed.ok()) {
-    serve_error_ = flushed;
-    return;
+  auto it = channels_.find(fd);
+  if (cause.ok() && at_eof && it != channels_.end() && it->second.in.buffered() != 0) {
+    cause = LogicalError("forkserver: peer closed mid-frame");
   }
-  if (at_eof) {
-    auto it = channels_.find(fd);
-    if (it != channels_.end()) {
-      if (it->second.in.buffered() != 0) {
-        serve_error_ = LogicalError("forkserver: peer closed mid-frame");
-        return;
-      }
-      CloseChannel(fd);
+  if (cause.ok() && !at_eof) {
+    cause = FlushReplies(fd);
+    if (cause.ok()) {
+      return;
     }
   }
+  CloseAfterFlush(fd, cause);
+}
+
+void ForkServer::CloseAfterFlush(int fd, Status cause) {
+  if (channels_.find(fd) == channels_.end()) {
+    return;
+  }
+  Status flushed = FlushReplies(fd);
+  if (cause.ok()) {
+    cause = flushed;  // a clean EOF is worth a line only if its replies were lost
+  }
+  if (!cause.ok()) {
+    FORKLIFT_WARN("forkserver: closing channel %d: %s", fd, cause.error().ToString().c_str());
+  }
+  CloseChannel(fd);
 }
 
 void ForkServer::CompleteParkedWaits(pid_t pid, const ExitStatus& status) {
@@ -265,11 +277,10 @@ void ForkServer::CompleteParkedWaits(pid_t pid, const ExitStatus& status) {
   reply.status = status;
   for (const auto& w : waiters) {
     QueueReply(w.sock, EncodeWaitReply(reply, w.meta));
-    Status sent = FlushReplies(w.sock);
-    if (!sent.ok()) {
+    if (Status sent = FlushReplies(w.sock); !sent.ok()) {
       // The waiter's channel broke while its wait was parked: that client is
       // gone, not the server — drop the channel and keep serving.
-      CloseChannel(w.sock);
+      CloseAfterFlush(w.sock, sent);
     }
   }
 }
@@ -573,8 +584,12 @@ Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameM
       // with a blocking wait. This stalls every channel until the child
       // exits. Flush anything already queued on this channel first: a
       // coalesced burst's earlier replies must not sit unsent behind a
-      // potentially unbounded child lifetime.
-      FORKLIFT_RETURN_IF_ERROR(FlushReplies(sock));
+      // potentially unbounded child lifetime. A peer that cannot take them
+      // is gone: close its channel, but still reap the child so it does not
+      // linger as a zombie (QueueReply drops the reply for the closed channel).
+      if (Status flushed = FlushReplies(sock); !flushed.ok()) {
+        CloseAfterFlush(sock, flushed);
+      }
       auto st = WaitForExit(p);
       if (!st.ok()) {
         reply.ok = false;

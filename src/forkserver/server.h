@@ -21,6 +21,13 @@
 // one blocking path left is the fallback for a child whose exit watch failed
 // to arm: with nothing to wake the reactor on its exit, the kWait reaps it
 // with a blocking waitpid, stalling every channel until the child exits.
+// Each wakeup drains a channel's whole burst and answers it in one coalesced
+// write (the only batching on the wire: clients write one frame per
+// request). A peer that hangs up mid-frame, sends a hostile length prefix,
+// or leaves before its replies are written loses only its own channel. A
+// peer that keeps sending but never reads its replies is not contained: once
+// its socket buffer fills, the reply flush blocks the reactor, and with it
+// every channel.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
 
@@ -64,9 +71,11 @@ class ForkServer {
   void EnableSigusr1StatsDump() { sigusr1_dump_ = true; }
 
   // Serves until a client sends kShutdown or the last channel closes.
-  // Returns the number of spawn requests handled, or the transport error that
+  // Returns the number of spawn requests handled, or the reactor error that
   // ended the loop. Protocol errors on a single request are reported to that
-  // client and do not end the loop.
+  // client and do not end the loop; a channel that fails on its own — a
+  // drain or framing error, EOF (mid-frame or not), a reply its peer cannot
+  // take — has its burst's replies flushed and is closed alone.
   Result<uint64_t> Serve();
 
   // Children spawned but not yet waited (visible for tests).
@@ -108,17 +117,21 @@ class ForkServer {
   // The launch half of a spawn once the request is decoded: clone_vm+exec,
   // child bookkeeping (live set, exit watch, counters), reply construction.
   SpawnReply LaunchDecoded(const SpawnRequest& req);
-  // Appends one framed reply to `sock`'s coalescing buffer (falls back to a
-  // direct send for unregistered sockets).
+  // Appends one framed reply to `sock`'s coalescing buffer (dropped when the
+  // channel is already closed).
   void QueueReply(int sock, std::string_view payload);
   // Writes the channel's queued replies in one gathered write.
   Status FlushReplies(int sock);
+  // Flushes what `fd` has queued (best effort), then closes that channel
+  // alone, logging `cause` — or, when it is ok, a failed flush.
+  void CloseAfterFlush(int fd, Status cause);
   // Answers every wait parked on `pid` with `status` and forgets the child.
   void CompleteParkedWaits(pid_t pid, const ExitStatus& status);
 
   // Reactor plumbing for Serve: channel/listener registration and the
-  // callbacks they dispatch to. Callbacks record failures in serve_error_
-  // (and request shutdown via stop_serving_) for the Serve loop to act on.
+  // callbacks they dispatch to. Callbacks record reactor failures in
+  // serve_error_ (and request shutdown via stop_serving_) for the Serve loop
+  // to act on; a failure of one channel closes that channel instead.
   Status RegisterChannel(int fd);
   void OnChannelReadable(int fd);
   void OnListenerReadable(int listener_fd);
@@ -164,7 +177,7 @@ Result<ForkServerHandle> StartForkServerProcess();
 
 // Forks a shard process that serves `server`'s (already-listening, shared)
 // socket and _exits when Serve returns: 0 on a clean client-initiated
-// shutdown, 1 on a transport error. The caller keeps its own copy of the
+// shutdown, 1 on a reactor error. The caller keeps its own copy of the
 // listener and supervises the returned pid (forkliftd --shards). The shard
 // never unlinks the socket path; the supervisor owns the file.
 Result<pid_t> SpawnShardProcess(ForkServer& server);

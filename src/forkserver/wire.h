@@ -54,8 +54,7 @@ class WireWriter {
   void PutBool(bool b) { PutU8(b ? 1 : 0); }
 
   // Overwrites 4 bytes at `pos` (a placeholder written earlier with PutU32).
-  // Backfills length prefixes whose value is known only after encoding, e.g.
-  // the client's inline frame-length prefix.
+  // Backfills length prefixes whose value is known only after encoding.
   void PokeU32(size_t pos, uint32_t v) {
     if (pos + sizeof(v) > buf_.size()) {
       overflow_ = true;

@@ -53,10 +53,13 @@ TEST(ForkServerFailureTest, GarbageFrameGetsErrorReply) {
   ASSERT_TRUE(handle.ok());
   // Send a syntactically valid frame with garbage payload.
   ASSERT_TRUE(SendFrame(handle->client_sock.get(), "not-a-protocol-message").ok());
-  auto rr = RecvFrame(handle->client_sock.get());
-  ASSERT_TRUE(rr.ok());
-  ASSERT_FALSE(rr->eof);
-  auto reply = DecodeSpawnReply(rr->frame.payload);
+  FrameBuffer fb;
+  Frame frame;
+  auto got = RecvFrame(handle->client_sock.get(), &fb, &frame);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(*got);
+  EXPECT_EQ(fb.buffered(), 0u) << "one reply, and nothing after it";
+  auto reply = DecodeSpawnReply(frame.payload);
   ASSERT_TRUE(reply.ok());
   EXPECT_FALSE(reply->ok);
 

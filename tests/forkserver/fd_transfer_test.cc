@@ -27,21 +27,25 @@ TEST(FdTransferTest, PayloadOnlyRoundTrip) {
   auto sp = MakeSocketPair();
   ASSERT_TRUE(sp.ok());
   ASSERT_TRUE(SendFrame(sp->first.get(), "frame-one").ok());
-  auto rr = RecvFrame(sp->second.get());
-  ASSERT_TRUE(rr.ok());
-  EXPECT_FALSE(rr->eof);
-  EXPECT_EQ(rr->frame.payload, "frame-one");
-  EXPECT_TRUE(rr->frame.fds.empty());
+  FrameBuffer fb;
+  Frame f;
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(*got);
+  EXPECT_EQ(f.payload, "frame-one");
+  EXPECT_TRUE(f.fds.empty());
 }
 
 TEST(FdTransferTest, EmptyPayloadFrame) {
   auto sp = MakeSocketPair();
   ASSERT_TRUE(sp.ok());
   ASSERT_TRUE(SendFrame(sp->first.get(), "").ok());
-  auto rr = RecvFrame(sp->second.get());
-  ASSERT_TRUE(rr.ok());
-  EXPECT_FALSE(rr->eof);
-  EXPECT_TRUE(rr->frame.payload.empty());
+  FrameBuffer fb;
+  Frame f;
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(*got);
+  EXPECT_TRUE(f.payload.empty());
 }
 
 TEST(FdTransferTest, MultipleFramesInOrder) {
@@ -50,10 +54,14 @@ TEST(FdTransferTest, MultipleFramesInOrder) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(SendFrame(sp->first.get(), "frame" + std::to_string(i)).ok());
   }
+  // One buffer across the loop: a single gulp may carry all five frames.
+  FrameBuffer fb;
+  Frame f;
   for (int i = 0; i < 5; ++i) {
-    auto rr = RecvFrame(sp->second.get());
-    ASSERT_TRUE(rr.ok());
-    EXPECT_EQ(rr->frame.payload, "frame" + std::to_string(i));
+    auto got = RecvFrame(sp->second.get(), &fb, &f);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(*got);
+    EXPECT_EQ(f.payload, "frame" + std::to_string(i));
   }
 }
 
@@ -61,9 +69,22 @@ TEST(FdTransferTest, EofDetected) {
   auto sp = MakeSocketPair();
   ASSERT_TRUE(sp.ok());
   sp->first.Reset();
-  auto rr = RecvFrame(sp->second.get());
-  ASSERT_TRUE(rr.ok());
-  EXPECT_TRUE(rr->eof);
+  FrameBuffer fb;
+  Frame f;
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(*got) << "a clean close between frames is EOF, not an error";
+}
+
+TEST(FdTransferTest, PeerClosedMidFrameIsAnError) {
+  auto sp = MakeSocketPair();
+  ASSERT_TRUE(sp.ok());
+  std::string torn = Framed("cut-short").substr(0, 6);
+  ASSERT_TRUE(WriteFull(sp->first.get(), torn.data(), torn.size()).ok());
+  sp->first.Reset();
+  FrameBuffer fb;
+  Frame f;
+  EXPECT_FALSE(RecvFrame(sp->second.get(), &fb, &f).ok());
 }
 
 TEST(FdTransferTest, SingleFdArrivesUsable) {
@@ -73,13 +94,16 @@ TEST(FdTransferTest, SingleFdArrivesUsable) {
   ASSERT_TRUE(pipe.ok());
 
   ASSERT_TRUE(SendFrame(sp->first.get(), "take-this", {pipe->write_end.get()}).ok());
-  auto rr = RecvFrame(sp->second.get());
-  ASSERT_TRUE(rr.ok());
-  ASSERT_EQ(rr->frame.fds.size(), 1u);
+  FrameBuffer fb;
+  Frame f;
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(*got);
+  ASSERT_EQ(f.fds.size(), 1u);
 
   // Write through the received duplicate; read from the original pipe.
-  ASSERT_TRUE(WriteFull(rr->frame.fds[0].get(), "via-scm", 7).ok());
-  rr->frame.fds.clear();
+  ASSERT_TRUE(WriteFull(f.fds[0].get(), "via-scm", 7).ok());
+  f.fds.clear();
   pipe->write_end.Reset();
   auto data = ReadAll(pipe->read_end.get());
   ASSERT_TRUE(data.ok());
@@ -98,15 +122,18 @@ TEST(FdTransferTest, ManyFdsPreserveOrder) {
     pipes.push_back(std::move(p).value());
   }
   ASSERT_TRUE(SendFrame(sp->first.get(), "octet", to_send).ok());
-  auto rr = RecvFrame(sp->second.get());
-  ASSERT_TRUE(rr.ok());
-  ASSERT_EQ(rr->frame.fds.size(), 8u);
+  FrameBuffer fb;
+  Frame f;
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(*got);
+  ASSERT_EQ(f.fds.size(), 8u);
   // Identify each received fd by writing its index through it.
   for (int i = 0; i < 8; ++i) {
     char c = static_cast<char>('0' + i);
-    ASSERT_TRUE(WriteFull(rr->frame.fds[i].get(), &c, 1).ok());
+    ASSERT_TRUE(WriteFull(f.fds[i].get(), &c, 1).ok());
   }
-  rr->frame.fds.clear();
+  f.fds.clear();
   for (int i = 0; i < 8; ++i) {
     pipes[i].write_end.Reset();
     auto data = ReadAll(pipes[i].read_end.get());
@@ -158,22 +185,14 @@ TEST(FdTransferTest, DrainAttributesFdsAcrossMergedSegments) {
 
   FrameBuffer fb;
   Frame f;
-  auto next_frame = [&]() {
-    for (;;) {
-      auto has = fb.Next(&f);
-      ASSERT_TRUE(has.ok()) << has.error().ToString();
-      if (*has) {
-        return;
-      }
-      auto drained = DrainSocketInto(sp->second.get(), &fb);
-      ASSERT_TRUE(drained.ok()) << drained.error().ToString();
-      ASSERT_FALSE(drained->eof);
-    }
-  };
-  next_frame();
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok()) << got.error().ToString();
+  ASSERT_TRUE(*got);
   EXPECT_EQ(f.payload, "plain");
   EXPECT_EQ(f.fds.size(), 0u);
-  next_frame();
+  got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok()) << got.error().ToString();
+  ASSERT_TRUE(*got);
   EXPECT_EQ(f.payload, "carrier");
   ASSERT_EQ(f.fds.size(), 1u);
   // The received duplicate must be the pipe's write end.
@@ -201,11 +220,12 @@ TEST(FdTransferTest, FdsRequirePayload) {
 TEST(FdTransferTest, OversizedFrameRejectedByReceiver) {
   auto sp = MakeSocketPair();
   ASSERT_TRUE(sp.ok());
-  // Hand-craft a length prefix claiming 1 GiB.
+  // Hand-craft a length prefix claiming 1 GiB, far past the 16 MiB cap.
   uint32_t huge = 1u << 30;
   ASSERT_TRUE(WriteFull(sp->first.get(), &huge, sizeof(huge)).ok());
-  auto rr = RecvFrame(sp->second.get(), /*max_payload=*/1 << 20);
-  EXPECT_FALSE(rr.ok());
+  FrameBuffer fb;
+  Frame f;
+  EXPECT_FALSE(RecvFrame(sp->second.get(), &fb, &f).ok());
 }
 
 TEST(FdTransferTest, ReceivedFdsAreCloexec) {
@@ -214,11 +234,14 @@ TEST(FdTransferTest, ReceivedFdsAreCloexec) {
   auto pipe = MakePipe();
   ASSERT_TRUE(pipe.ok());
   ASSERT_TRUE(SendFrame(sp->first.get(), "p", {pipe->read_end.get()}).ok());
-  auto rr = RecvFrame(sp->second.get());
-  ASSERT_TRUE(rr.ok());
-  ASSERT_EQ(rr->frame.fds.size(), 1u);
+  FrameBuffer fb;
+  Frame f;
+  auto got = RecvFrame(sp->second.get(), &fb, &f);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(*got);
+  ASSERT_EQ(f.fds.size(), 1u);
   // MSG_CMSG_CLOEXEC: a received descriptor must not leak through exec.
-  auto cloexec = GetCloexec(rr->frame.fds[0].get());
+  auto cloexec = GetCloexec(f.fds[0].get());
   ASSERT_TRUE(cloexec.ok());
   EXPECT_TRUE(*cloexec);
 }

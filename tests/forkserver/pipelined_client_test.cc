@@ -1,6 +1,7 @@
 // Pipelining, end to end: many requests in flight on one channel, replies
 // arriving out of order, a parked kWait that never blocks the channel, a
-// retired v1 frame refused without disturbing the server, and a
+// retired v1 frame and misbehaving peers refused without disturbing the
+// server or its other clients, and a
 // multi-threaded stress mix (the TSan target for the pipelined send/receive
 // paths).
 #include <gtest/gtest.h>
@@ -194,11 +195,13 @@ TEST(PipelinedClientTest, V1FrameIsRefusedAndTheServerKeepsServing) {
     std::string frame = EncodeControl(MsgType::kPing).substr(0, 12);
     frame[4] = 1;
     ASSERT_TRUE(SendFrame(raw.get(), frame).ok());
-    auto rr = RecvFrame(raw.get());
-    ASSERT_TRUE(rr.ok()) << rr.error().ToString();
-    ASSERT_FALSE(rr->eof);
+    FrameBuffer fb;
+    Frame rx;
+    auto got = RecvFrame(raw.get(), &fb, &rx);
+    ASSERT_TRUE(got.ok()) << got.error().ToString();
+    ASSERT_TRUE(*got);
     FrameMeta meta{kForkServerProtocolV2, 99};
-    auto reply = DecodeSpawnReply(rr->frame.payload, &meta);
+    auto reply = DecodeSpawnReply(rx.payload, &meta);
     ASSERT_TRUE(reply.ok()) << reply.error().ToString();
     EXPECT_FALSE(reply->ok);
     EXPECT_EQ(meta.request_id, 0u);
@@ -208,10 +211,10 @@ TEST(PipelinedClientTest, V1FrameIsRefusedAndTheServerKeepsServing) {
     ASSERT_TRUE(
         SendFrame(raw.get(), EncodeControl(MsgType::kPing, FrameMeta{kForkServerProtocolV2, 42}))
             .ok());
-    rr = RecvFrame(raw.get());
-    ASSERT_TRUE(rr.ok()) << rr.error().ToString();
-    ASSERT_FALSE(rr->eof);
-    WireReader reader(rr->frame.payload);
+    got = RecvFrame(raw.get(), &fb, &rx);
+    ASSERT_TRUE(got.ok()) << got.error().ToString();
+    ASSERT_TRUE(*got);
+    WireReader reader(rx.payload);
     auto hdr = DecodeHeader(reader);
     ASSERT_TRUE(hdr.ok()) << hdr.error().ToString();
     EXPECT_EQ(hdr->type, MsgType::kPong);
@@ -227,9 +230,61 @@ TEST(PipelinedClientTest, V1FrameIsRefusedAndTheServerKeepsServing) {
   server_thread.join();
 }
 
+// A peer that hangs up mid-frame, sends a hostile length prefix, or leaves
+// before its reply is written costs only its own channel. Three such peers are
+// staged on the listener before Serve starts: one hangs up mid-frame, one
+// sends a length prefix past the payload cap and stays connected, and one
+// submits a kSpawn and leaves before its reply is written. A well-behaved
+// client beside them is still served, the connected hostile peer reads EOF,
+// and Serve ends cleanly on kShutdown.
+TEST(PipelinedClientTest, MisbehavingPeersCloseOnlyTheirOwnChannels) {
+  std::string path = ::testing::TempDir() + "pipelined_hostile_" +
+                     std::to_string(::getpid()) + ".sock";
+  auto server = ForkServer::Listen(path);
+  ASSERT_TRUE(server.ok()) << server.error().ToString();
+  {
+    UniqueFd torn = ConnectRaw(path);
+    const uint32_t len = 64;
+    ASSERT_TRUE(WriteFull(torn.get(), &len, sizeof(len)).ok());
+    ASSERT_TRUE(WriteFull(torn.get(), "partial", 7).ok());
+  }
+  UniqueFd hostile = ConnectRaw(path);
+  const uint32_t huge = 0xFFFFFFFFu;
+  ASSERT_TRUE(WriteFull(hostile.get(), &huge, sizeof(huge)).ok());
+  {
+    UniqueFd quitter = ConnectRaw(path);
+    std::vector<int> fds;
+    auto spawn = EncodeSpawnRequest(TrueRequest(), &fds, FrameMeta{kForkServerProtocolV2, 7});
+    ASSERT_TRUE(spawn.ok()) << spawn.error().ToString();
+    ASSERT_TRUE(SendFrame(quitter.get(), *spawn).ok());
+  }
+
+  std::thread server_thread([srv = std::move(*server)]() mutable {
+    auto served = srv.Serve();
+    EXPECT_TRUE(served.ok()) << served.error().ToString();
+  });
+  // No ASSERT until the join: the server thread must not outlive the test.
+  auto client = ForkServerClient::ConnectPath(path);
+  EXPECT_TRUE(client.ok()) << client.error().ToString();
+  if (client.ok()) {
+    EXPECT_TRUE((*client)->Ping().ok());
+    auto pid = (*client)->LaunchRequest(TrueRequest());
+    EXPECT_TRUE(pid.ok()) << pid.error().ToString();
+    if (pid.ok()) {
+      auto st = (*client)->WaitRemote(*pid);
+      EXPECT_TRUE(st.ok() && st->Success()) << (st.ok() ? st->ToString() : st.error().ToString());
+    }
+    char byte;
+    EXPECT_EQ(::read(hostile.get(), &byte, 1), 0) << "the hostile peer's channel must be closed";
+    EXPECT_TRUE((*client)->Shutdown().ok());
+  }
+  server_thread.join();
+}
+
 // The TSan target: several threads pipeline spawns, waits, and pings through
-// one shared client at depth > 1, exercising the send-lock/slot-map/receiver
-// interleavings.
+// one shared client at depth > 1. Each submitter writes its own frame under
+// the send lock while the receiver completes slots, so this exercises the
+// send-lock/slot-map/receiver interleavings.
 TEST(PipelinedClientTest, MultiThreadedPipelinedStress) {
   InProcessServer srv;
   SpawnRequest req = TrueRequest();
@@ -278,12 +333,11 @@ TEST(PipelinedClientTest, MultiThreadedPipelinedStress) {
   EXPECT_EQ(srv.client().outstanding(), 0u);
 }
 
-// Regression: frames enqueued while an fd-carrying frame was inside its
-// synchronous sendmsg used to be stranded — the enqueuers saw an active
-// flusher and returned, counting on it, but the fd sender never re-drained
-// the queue before stepping down, so nobody shipped them and their Await*
-// hung forever. The fd thread keeps the flusher slot busy inside SendFrame
-// while the spawn threads pile frames up behind it.
+// The send lock orders fd-carrying frames among plain ones: while one thread
+// ships sockets via SCM_RIGHTS (kNewChannel) in a loop, spawn threads keep
+// submitting plain frames on the same channel. Every frame must reach the
+// zygote whole and in one piece — a plain frame's bytes inside an fd frame
+// would tear both — and every Await* must complete.
 TEST(PipelinedClientTest, FdFramesInterleavedWithAsyncSpawnsDoNotStrand) {
   InProcessServer srv;
   SpawnRequest req = TrueRequest();

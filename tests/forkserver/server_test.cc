@@ -4,6 +4,7 @@
 #include "src/forkserver/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,7 +20,9 @@
 #include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
 #include "src/forkserver/client.h"
+#include "src/forkserver/fd_transfer.h"
 #include "src/forkserver/pool.h"
+#include "src/forkserver/protocol.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
@@ -345,6 +348,106 @@ TEST(ForkServerProcessTest, WaitOnChildWithoutExitWatchReapsOnce) {
     ASSERT_TRUE(in.good()) << children;
     std::string left((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     EXPECT_EQ(left.find_first_not_of(" \n"), std::string::npos) << "zygote children: " << left;
+    EXPECT_TRUE(client.Ping().ok());
+    EXPECT_TRUE(client.Shutdown().ok());
+  }
+  EXPECT_TRUE(WaitForExit(zygote).ok());
+}
+
+// The same blocking path when the waiting channel's peer is gone: its burst's
+// queued reply cannot be flushed, so the channel closes, but the child must
+// still be reaped rather than left a zombie in a zygote that keeps serving
+// its other channels.
+TEST(ForkServerProcessTest, BlockingWaitOnAClosedChannelStillReapsTheChild) {
+  ClearFaultPlanOnExit clear;
+  fault::PlanSpec trace;
+  trace.trace = true;
+  fault::InstallPlan(trace);
+  uint64_t startup_adds = 0;
+  {
+    auto probe = StartForkServerProcess();
+    ASSERT_TRUE(probe.ok()) << probe.error().ToString();
+    ForkServerClient client(std::move(probe->client_sock));
+    ASSERT_TRUE(client.Ping().ok());
+    startup_adds = EpollCtlAddHits();
+    ASSERT_TRUE(client.Shutdown().ok());
+    ASSERT_TRUE(WaitForExit(probe->server_pid).ok());
+  }
+  ASSERT_GT(startup_adds, 0u);
+
+  // The next two registrations are the adopted second channel and the
+  // child's exit watch; only the watch fails.
+  fault::PlanSpec spec;
+  spec.site = "reactor.epoll_ctl_add";
+  spec.mode = fault::Mode::kEnomem;
+  spec.nth = startup_adds + 2;
+  fault::InstallPlan(spec);
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t zygote = handle->server_pid;
+  {
+    auto sp = MakeSocketPair();
+    ASSERT_TRUE(sp.ok());
+    UniqueFd raw = std::move(sp->first);
+    {
+      FrameBuffer fb;
+      Frame ack;
+      ASSERT_TRUE(SendFrame(handle->client_sock.get(),
+                            EncodeControl(MsgType::kNewChannel, FrameMeta{kForkServerProtocolV2, 1}),
+                            {sp->second.get()})
+                      .ok());
+      auto got = RecvFrame(handle->client_sock.get(), &fb, &ack);
+      ASSERT_TRUE(got.ok() && *got);
+      ASSERT_EQ(fb.buffered(), 0u);
+      sp->second.Reset();
+    }
+    ASSERT_EQ(fault::InjectionsFired(), 0u) << "the second channel must have registered";
+    ForkServerClient client(std::move(handle->client_sock));
+
+    auto hold = MakePipe();
+    ASSERT_TRUE(hold.ok());
+    Spawner s("/bin/sh");
+    s.Args({"-c", "read line; exit 7"}).SetStdin(Stdio::Fd(hold->read_end.get()));
+    auto pid = SpawnVia(client, s);
+    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+    hold->read_end.Reset();
+    ASSERT_EQ(fault::InjectionsFired(), 1u) << "the child's exit watch must have failed to arm";
+
+    // Shutting down our read side makes every zygote write to this channel
+    // fail with EPIPE. One write carries a kPing (its pong is queued) and a
+    // kWait for the unwatched child, whose blocking fallback must flush the
+    // pong first and so finds the peer gone.
+    ASSERT_EQ(::shutdown(raw.get(), SHUT_RD), 0);
+    std::string burst;
+    for (const std::string& payload :
+         {EncodeControl(MsgType::kPing, FrameMeta{kForkServerProtocolV2, 2}),
+          EncodeWait(*pid, FrameMeta{kForkServerProtocolV2, 3})}) {
+      const uint32_t len = static_cast<uint32_t>(payload.size());
+      burst.append(reinterpret_cast<const char*>(&len), sizeof(len));
+      burst.append(payload);
+    }
+    ASSERT_TRUE(WriteFull(raw.get(), burst.data(), burst.size()).ok());
+    raw.Reset();
+    hold->write_end.Reset();  // `read` sees EOF and the child exits 7
+
+    const std::string children =
+        "/proc/" + std::to_string(zygote) + "/task/" + std::to_string(zygote) + "/children";
+    std::string left;
+    for (int i = 0; i < 500; ++i) {
+      std::ifstream in(children);
+      ASSERT_TRUE(in.good()) << children;
+      left.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+      if (left.find_first_not_of(" \n") == std::string::npos) {
+        break;
+      }
+      ::usleep(10 * 1000);
+    }
+    EXPECT_EQ(left.find_first_not_of(" \n"), std::string::npos) << "zygote children: " << left;
+
+    // The fallback retired the child; the first channel keeps serving.
+    auto again = client.WaitRemote(*pid);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error().code(), ECHILD) << again.error().ToString();
     EXPECT_TRUE(client.Ping().ok());
     EXPECT_TRUE(client.Shutdown().ok());
   }

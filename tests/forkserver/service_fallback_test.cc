@@ -181,6 +181,49 @@ TEST_F(ServiceFallbackTest, MidFlightServerDeathErrorsTheWaitAndNextSpawnFallsBa
   EXPECT_GE(service.RouteStats("forkserver").transport_failures, 1u);
 }
 
+// The exact submit contract: a spawn frame that never reached the wire whole
+// is retryable, so the request falls through to the next route instead of
+// failing as indeterminate. The adopted channel's first gathered write — the
+// spawn frame — fails with EIO.
+TEST_F(ServiceFallbackTest, UnsentSpawnFrameFallsThroughToLocal) {
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t server_pid = handle->server_pid;
+  auto channel = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
+  auto service = std::make_unique<SpawnService>(DeterministicOptions());
+  service->AddRoute(ForkServerTransport::Adopt(channel));
+  service->AddLocalRoute(SpawnBackendKind::kPosixSpawn);
+
+  fault::PlanSpec spec;
+  spec.site = "syscall.writev_full";
+  spec.mode = fault::Mode::kEio;
+  spec.nth = 1;
+  fault::InstallPlan(spec);
+  auto child = service->Spawn(Spawner("/bin/true"));
+  const uint64_t fired = fault::InjectionsFired();
+  fault::ClearPlan();
+
+  ASSERT_TRUE(child.ok()) << child.error().ToString();
+  EXPECT_EQ(child->route(), "local:posix_spawn");
+  EXPECT_EQ(fired, 1u);
+  auto st = child->Wait();
+  ASSERT_TRUE(st.ok()) << st.error().ToString();
+  EXPECT_TRUE(st->Success());
+
+  auto remote = service->RouteStats("forkserver");
+  EXPECT_EQ(remote.attempts, 1u);
+  EXPECT_EQ(remote.transport_failures, 1u);
+  EXPECT_EQ(remote.fallthroughs, 1u);
+  EXPECT_EQ(remote.successes, 0u);
+
+  // The zygote serves until its channel's last reference is gone.
+  service.reset();
+  channel.reset();
+  auto zygote = WaitForExit(server_pid);
+  ASSERT_TRUE(zygote.ok()) << zygote.error().ToString();
+  EXPECT_TRUE(zygote->Success()) << zygote->ToString();
+}
+
 // Satellite 2 on the remote path: the first reap caches the status on the
 // handle, and every later wait — blocking, non-blocking, deadline — returns
 // the cache instead of a protocol error for a pid the server already forgot.

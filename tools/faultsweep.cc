@@ -263,9 +263,9 @@ Status ScenarioForkServer() {
       return LogicalError("forkserver: remote child failed: " + status->ToString());
     }
     // A window of pipelined spawns submitted before the first await, so the
-    // wire path — client writev flush (syscall.writev_full), server drain
-    // (wire.recvmsg_drain), coalesced replies — is in this scenario's trace.
-    // The fd spawn above already traces wire.sendmsg_fds.
+    // wire path — each client frame's write (syscall.writev_full), server
+    // drain (wire.recvmsg_drain), coalesced replies — is in this scenario's
+    // trace. The fd spawn above already traces wire.sendmsg_fds.
     auto true_req = Spawner("/bin/true").BuildRequest();
     if (!true_req.ok()) return Err(true_req.error());
     std::vector<ForkServerClient::PendingReply> window;
