@@ -1,8 +1,63 @@
 #include "src/common/env.h"
 
+#include <algorithm>
+
 extern char** environ;
 
 namespace forklift {
+
+ArgvBlock::ArgvBlock(const std::vector<std::string>& args) {
+  size_t chars = 0;
+  for (const auto& a : args) {
+    chars += a.size();
+  }
+  Reserve(args.size(), chars);
+  for (const auto& a : args) {
+    Add(a);
+  }
+}
+
+ArgvBlock::ArgvBlock(const ArgvBlock& other) : bytes_(other.bytes_), pointers_(other.pointers_) {
+  for (size_t i = 0; i < size(); ++i) {
+    pointers_[i] = bytes_.data() + (other.pointers_[i] - other.bytes_.data());
+  }
+}
+
+void ArgvBlock::Reserve(size_t entries, size_t chars) {
+  size_t need = bytes_.size() + chars + entries;
+  if (need > bytes_.capacity()) {
+    Regrow(need);
+  }
+  pointers_.reserve(size() + entries + 1);
+}
+
+void ArgvBlock::Append(std::string_view a, std::string_view b, std::string_view c) {
+  size_t need = bytes_.size() + a.size() + b.size() + c.size() + 1;
+  if (need > bytes_.capacity()) {
+    Regrow(std::max(need, 2 * bytes_.capacity()));
+  }
+  char* start = bytes_.data() + bytes_.size();
+  bytes_.insert(bytes_.end(), a.begin(), a.end());
+  bytes_.insert(bytes_.end(), b.begin(), b.end());
+  bytes_.insert(bytes_.end(), c.begin(), c.end());
+  bytes_.push_back('\0');
+  if (!pointers_.empty()) {
+    pointers_.pop_back();
+  }
+  pointers_.push_back(start);
+  pointers_.push_back(nullptr);
+}
+
+void ArgvBlock::Regrow(size_t capacity) {
+  std::vector<char> bigger;
+  bigger.reserve(capacity);
+  bigger.assign(bytes_.begin(), bytes_.end());
+  // Re-aim while the old buffer is still alive to measure offsets against.
+  for (size_t i = 0; i < size(); ++i) {
+    pointers_[i] = bigger.data() + (pointers_[i] - bytes_.data());
+  }
+  bytes_.swap(bigger);
+}
 
 EnvMap EnvMap::FromCurrent() { return FromBlock(environ); }
 

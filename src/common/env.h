@@ -15,44 +15,54 @@
 
 namespace forklift {
 
-// Owns the strings and the char* vector; `data()` is valid until the block is
-// destroyed or mutated.
+// One NUL-separated byte buffer plus one char* array into it. `data()` is
+// valid until the block is destroyed, assigned or added to. A copy points
+// into its own buffer; a move hands the buffer over, so the moved-to block's
+// pointers stay valid (a std::string buffer would not promise this under the
+// small-string optimisation). A default or moved-from block is empty and
+// allocates nothing.
 class ArgvBlock {
  public:
-  ArgvBlock() { Finalize(); }
-  explicit ArgvBlock(const std::vector<std::string>& args) {
-    for (const auto& a : args) {
-      Add(a);
-    }
-    Finalize();
-  }
+  ArgvBlock() = default;
+  explicit ArgvBlock(const std::vector<std::string>& args);
+  ArgvBlock(const ArgvBlock& other);
+  ArgvBlock& operator=(const ArgvBlock& other) { return *this = ArgvBlock(other); }
+  ArgvBlock(ArgvBlock&&) noexcept = default;
+  ArgvBlock& operator=(ArgvBlock&&) noexcept = default;
 
-  void Add(std::string_view arg) {
-    storage_.push_back(std::string(arg));
-    Finalize();
-  }
+  // Sizes the block for `entries` more entries holding `chars` bytes of text
+  // in all (the block counts their NULs), so the Adds that follow never
+  // reallocate. An added view must not point into the block itself.
+  void Reserve(size_t entries, size_t chars);
+  void Add(std::string_view arg) { Append(arg, {}, {}); }
+  // Adds the entry "key=value", as EnvMap::ToStrings spells it.
+  void AddKeyValue(std::string_view key, std::string_view value) { Append(key, "=", value); }
 
-  size_t size() const { return storage_.size(); }
-  bool empty() const { return storage_.empty(); }
-  const std::string& operator[](size_t i) const { return storage_[i]; }
+  size_t size() const { return pointers_.empty() ? 0 : pointers_.size() - 1; }
+  bool empty() const { return pointers_.empty(); }
+  // Every entry's bytes plus its NUL.
+  size_t buffer_size() const { return bytes_.size(); }
+  // Entry `i`, NUL excluded (it ends where the next one starts).
+  std::string_view operator[](size_t i) const {
+    const char* end = pointers_[i + 1] != nullptr ? pointers_[i + 1]
+                                                  : bytes_.data() + bytes_.size();
+    return std::string_view(pointers_[i], static_cast<size_t>(end - pointers_[i]) - 1);
+  }
 
   // NULL-terminated array suitable for execv/posix_spawn. The pointed-to
   // strings are owned by this block.
-  char* const* data() const { return const_cast<char* const*>(pointers_.data()); }
-
-  const std::vector<std::string>& strings() const { return storage_; }
-
- private:
-  void Finalize() {
-    pointers_.clear();
-    pointers_.reserve(storage_.size() + 1);
-    for (auto& s : storage_) {
-      pointers_.push_back(s.data());
-    }
-    pointers_.push_back(nullptr);
+  char* const* data() const {
+    static char* const kNoEntries[] = {nullptr};
+    return pointers_.empty() ? kNoEntries : pointers_.data();
   }
 
-  std::vector<std::string> storage_;
+ private:
+  void Append(std::string_view a, std::string_view b, std::string_view c);
+  // Moves the bytes to a buffer of `capacity` and re-aims the pointers.
+  void Regrow(size_t capacity);
+
+  std::vector<char> bytes_;
+  // Empty, or one pointer per entry followed by nullptr.
   std::vector<char*> pointers_;
 };
 

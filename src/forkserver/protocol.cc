@@ -31,14 +31,8 @@ constexpr size_t kHeaderSize = 12 + 8;
 size_t EstimateSpawnRequestSize(const SpawnRequest& request) {
   size_t n = kHeaderSize;
   n += 4 + request.program.size() + 1;         // program + use_path_search
-  n += 4;                                      // argc
-  for (size_t i = 0; i < request.argv.size(); ++i) {
-    n += 4 + request.argv[i].size();
-  }
-  n += 4;  // envc
-  for (size_t i = 0; i < request.envp.size(); ++i) {
-    n += 4 + request.envp[i].size();
-  }
+  n += 4 + 4 * request.argv.size() + request.argv.buffer_size();  // argc, argv
+  n += 4 + 4 * request.envp.size() + request.envp.buffer_size();  // envc, envp
   n += 1 + 4 + (request.cwd.has_value() ? request.cwd->size() : 0);  // cwd
   n += 1 + 4;                                  // umask
   n += 4;                                      // the four reset/session bools
@@ -160,6 +154,29 @@ Status EncodeSpawnBodyInto(WireWriter& w, const SpawnRequest& request,
   return w.status();
 }
 
+// Decodes a count of at most `max_count` and that many strings straight into
+// `block`. A first pass over the lengths proves every entry is in the payload
+// before the one reservation, so a frame cannot make the decoder reserve for
+// entries it does not carry; the second pass copies each entry once.
+Status DecodeBlock(WireReader& r, uint32_t max_count, const char* what, ArgvBlock* block) {
+  FORKLIFT_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
+  if (count > max_count) {
+    return LogicalError(std::string("DecodeSpawnRequest: ") + what + " too large");
+  }
+  WireReader scan = r;
+  size_t chars = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    FORKLIFT_ASSIGN_OR_RETURN(std::string_view s, scan.GetView());
+    chars += s.size();
+  }
+  block->Reserve(count, chars);
+  for (uint32_t i = 0; i < count; ++i) {
+    FORKLIFT_ASSIGN_OR_RETURN(std::string_view s, r.GetView());
+    block->Add(s);
+  }
+  return Status::Ok();
+}
+
 // Decodes the spawn body; its trailing fd count must agree with the number of
 // descriptors that arrived. Does not require the reader to be at end — the
 // caller owns the surrounding framing.
@@ -169,27 +186,8 @@ Result<SpawnRequest> DecodeSpawnBody(WireReader& r,
   FORKLIFT_ASSIGN_OR_RETURN(req.program, r.GetString());
   FORKLIFT_ASSIGN_OR_RETURN(req.use_path_search, r.GetBool());
 
-  FORKLIFT_ASSIGN_OR_RETURN(uint32_t argc, r.GetU32());
-  if (argc > 4096) {
-    return LogicalError("DecodeSpawnRequest: argv too large");
-  }
-  std::vector<std::string> argv;
-  for (uint32_t i = 0; i < argc; ++i) {
-    FORKLIFT_ASSIGN_OR_RETURN(std::string s, r.GetString());
-    argv.push_back(std::move(s));
-  }
-  req.argv = ArgvBlock(argv);
-
-  FORKLIFT_ASSIGN_OR_RETURN(uint32_t envc, r.GetU32());
-  if (envc > 16384) {
-    return LogicalError("DecodeSpawnRequest: env too large");
-  }
-  std::vector<std::string> envp;
-  for (uint32_t i = 0; i < envc; ++i) {
-    FORKLIFT_ASSIGN_OR_RETURN(std::string s, r.GetString());
-    envp.push_back(std::move(s));
-  }
-  req.envp = ArgvBlock(envp);
+  FORKLIFT_RETURN_IF_ERROR(DecodeBlock(r, 4096, "argv", &req.argv));
+  FORKLIFT_RETURN_IF_ERROR(DecodeBlock(r, 16384, "env", &req.envp));
 
   FORKLIFT_ASSIGN_OR_RETURN(bool has_cwd, r.GetBool());
   if (has_cwd) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -24,14 +25,6 @@ class WireWriter {
   // buffer: capacity survives Clear and is reused by the next frame.
   void Reserve(size_t n) { buf_.reserve(n); }
   void Clear() {
-    buf_.clear();
-    overflow_ = false;
-  }
-
-  // Takes over `buf` as the backing store (cleared, capacity kept). Lets
-  // encoders recycle flushed frame buffers instead of allocating per frame.
-  void AdoptBuffer(std::string buf) {
-    buf_ = std::move(buf);
     buf_.clear();
     overflow_ = false;
   }
@@ -53,17 +46,7 @@ class WireWriter {
   }
   void PutBool(bool b) { PutU8(b ? 1 : 0); }
 
-  // Overwrites 4 bytes at `pos` (a placeholder written earlier with PutU32).
-  // Backfills length prefixes whose value is known only after encoding.
-  void PokeU32(size_t pos, uint32_t v) {
-    if (pos + sizeof(v) > buf_.size()) {
-      overflow_ = true;
-      return;
-    }
-    std::memcpy(&buf_[pos], &v, sizeof(v));
-  }
-
-  // False once any Put* was rejected (oversized string, bad Poke offset).
+  // False once any Put* was rejected (an oversized string).
   // Encoders must check before shipping the frame; the buffer contents are
   // incomplete after an overflow.
   bool ok() const { return !overflow_; }
@@ -107,18 +90,23 @@ class WireReader {
     }
     return v == 1;
   }
-  // `max_len` guards against hostile length prefixes.
-  Result<std::string> GetString(size_t max_len = 1u << 20) {
+  // A length-prefixed string, viewed in the buffer being read: valid as long
+  // as that buffer. `max_len` guards against hostile length prefixes.
+  Result<std::string_view> GetView(size_t max_len = 1u << 20) {
     FORKLIFT_ASSIGN_OR_RETURN(uint32_t len, GetU32());
     if (len > max_len) {
       return LogicalError("wire: string length " + std::to_string(len) + " exceeds cap");
     }
-    if (pos_ + len > data_.size()) {
+    if (len > data_.size() - pos_) {
       return Truncated("string body");
     }
-    std::string s(data_.substr(pos_, len));
+    std::string_view s = data_.substr(pos_, len);
     pos_ += len;
     return s;
+  }
+  Result<std::string> GetString(size_t max_len = 1u << 20) {
+    FORKLIFT_ASSIGN_OR_RETURN(std::string_view s, GetView(max_len));
+    return std::string(s);
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }

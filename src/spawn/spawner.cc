@@ -3,12 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/clock.h"
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
 #include "src/spawn/metrics.h"
+
+extern char** environ;
 
 namespace forklift {
 
@@ -43,7 +46,7 @@ Spawner& Spawner::SetEnv(std::string_view key, std::string_view value) {
 }
 
 Spawner& Spawner::UnsetEnv(std::string_view key) {
-  env_unsets_.emplace_back(key);
+  env_unsets_.emplace(key);
   return *this;
 }
 
@@ -138,21 +141,60 @@ Spawner& Spawner::SetBackend(SpawnBackendKind kind) {
 
 namespace {
 
-EnvMap ResolveEnv(bool inherit, const std::optional<EnvMap>& explicit_env,
-                  const EnvMap& overrides, const std::vector<std::string>& unsets) {
-  EnvMap env;
-  if (explicit_env.has_value()) {
-    env = *explicit_env;
-  } else if (inherit) {
-    env = EnvMap::FromCurrent();
+// The child's environment in one block: the SetEnvMap map, or `environ` when
+// inheriting, with the SetEnv overrides on top and the UnsetEnv keys removed.
+// Byte for byte what EnvMap's FromBlock, Set, Unset and ToBlock give: sorted
+// by key, the first of duplicate `environ` keys kept, entries without a key
+// dropped. Every variable is viewed where it lives and copied once, into the
+// block's one reservation.
+ArgvBlock EnvBlock(bool inherit, const std::optional<EnvMap>& explicit_env,
+                   const EnvMap& overrides, const std::set<std::string, std::less<>>& unsets) {
+  struct Var {
+    std::string_view key;
+    std::string_view value;
+  };
+  char* const* inherited = inherit && !explicit_env.has_value() ? environ : nullptr;
+  size_t count = overrides.size() + (explicit_env.has_value() ? explicit_env->size() : 0);
+  for (char* const* p = inherited; p != nullptr && *p != nullptr; ++p) {
+    ++count;
   }
+  // Overrides go first, so after the stable sort each key's first entry is
+  // the one that wins.
+  std::vector<Var> vars;
+  vars.reserve(count);
   for (const auto& [k, v] : overrides.vars()) {
-    env.Set(k, v);
+    vars.push_back({k, v});
   }
-  for (const auto& k : unsets) {
-    env.Unset(k);
+  if (explicit_env.has_value()) {
+    for (const auto& [k, v] : explicit_env->vars()) {
+      vars.push_back({k, v});
+    }
   }
-  return env;
+  for (char* const* p = inherited; p != nullptr && *p != nullptr; ++p) {
+    std::string_view entry(*p);
+    size_t eq = entry.find('=');
+    if (eq != std::string_view::npos && eq != 0) {
+      vars.push_back({entry.substr(0, eq), entry.substr(eq + 1)});
+    }
+  }
+  std::stable_sort(vars.begin(), vars.end(),
+                   [](const Var& a, const Var& b) { return a.key < b.key; });
+  vars.erase(std::unique(vars.begin(), vars.end(),
+                         [](const Var& a, const Var& b) { return a.key == b.key; }),
+             vars.end());
+
+  size_t chars = 0;
+  for (const auto& var : vars) {
+    chars += var.key.size() + 1 + var.value.size();
+  }
+  ArgvBlock block;
+  block.Reserve(vars.size(), chars);
+  for (const auto& var : vars) {
+    if (!unsets.contains(var.key)) {
+      block.AddKeyValue(var.key, var.value);
+    }
+  }
+  return block;
 }
 
 SpawnBackend& BackendFor(SpawnBackendKind kind) {
@@ -176,13 +218,17 @@ Result<SpawnRequest> Spawner::AssembleRequest(FdPlan stdio) const {
   req.program = program_;
   req.use_path_search = program_.find('/') == std::string::npos;
 
-  std::vector<std::string> argv;
-  argv.push_back(argv0_.value_or(program_));
+  const std::string& argv0 = argv0_.has_value() ? *argv0_ : program_;
+  size_t argv_chars = argv0.size();
   for (const auto& a : args_) {
-    argv.push_back(a);
+    argv_chars += a.size();
   }
-  req.argv = ArgvBlock(argv);
-  req.envp = ResolveEnv(inherit_env_, explicit_env_, env_overrides_, env_unsets_).ToBlock();
+  req.argv.Reserve(args_.size() + 1, argv_chars);
+  req.argv.Add(argv0);
+  for (const auto& a : args_) {
+    req.argv.Add(a);
+  }
+  req.envp = EnvBlock(inherit_env_, explicit_env_, env_overrides_, env_unsets_);
 
   for (const auto& a : extra_fds_.actions()) {
     switch (a.kind) {

@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -162,8 +163,8 @@ class Spawner {
   std::vector<std::string> args_;
 
   bool inherit_env_ = true;
-  EnvMap env_overrides_;           // applied on top of inherited env
-  std::vector<std::string> env_unsets_;
+  EnvMap env_overrides_;                           // applied on top of inherited env
+  std::set<std::string, std::less<>> env_unsets_;  // removed after the overrides
   std::optional<EnvMap> explicit_env_;
 
   Stdio stdin_spec_ = Stdio::Inherit();

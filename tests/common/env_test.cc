@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <memory>
 
 namespace forklift {
 namespace {
@@ -27,9 +29,64 @@ TEST(ArgvBlockTest, AddRefreshesPointers) {
   ArgvBlock b;
   b.Add("a");
   b.Add("bb");
+  b.AddKeyValue("K", "v=w");
+  b.AddKeyValue("EMPTY", "");
+  for (int i = 0; i < 100; ++i) {  // outgrows the unreserved buffer many times over
+    b.Add(std::string(i, 'z'));
+  }
+  ASSERT_EQ(b.size(), 104u);
   EXPECT_STREQ(b.data()[0], "a");
   EXPECT_STREQ(b.data()[1], "bb");
-  EXPECT_EQ(b.data()[2], nullptr);
+  EXPECT_STREQ(b.data()[2], "K=v=w");
+  EXPECT_STREQ(b.data()[3], "EMPTY=");
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(b[4 + i], std::string(i, 'z'));
+    EXPECT_EQ(std::string_view(b.data()[4 + i]), b[4 + i]);
+  }
+  EXPECT_EQ(b.data()[104], nullptr);
+}
+
+TEST(ArgvBlockTest, CopyOutlivesItsSource) {
+  // Short entries fit in a std::string's inline buffer; the long one does not.
+  const std::vector<std::string> args = {"ls", std::string(64, 'x'), "", "-l"};
+  auto source = std::make_unique<ArgvBlock>(args);
+  std::vector<std::uintptr_t> source_ptrs;
+  for (size_t i = 0; i < args.size(); ++i) {
+    source_ptrs.push_back(reinterpret_cast<std::uintptr_t>(source->data()[i]));
+  }
+  ArgvBlock copy(*source);
+  ArgvBlock assigned;
+  assigned = *source;
+  source.reset();
+  for (const ArgvBlock* block : {&copy, &assigned}) {
+    ASSERT_EQ(block->size(), args.size());
+    for (size_t i = 0; i < args.size(); ++i) {
+      const char* p = block->data()[i];
+      ASSERT_NE(reinterpret_cast<std::uintptr_t>(p), source_ptrs[i])
+          << "entry " << i << " still points into the destroyed source";
+      ASSERT_EQ(p, (*block)[i].data()) << "entry " << i << " must point into the copy";
+      EXPECT_EQ(std::string_view(p), args[i]);
+      EXPECT_EQ((*block)[i], args[i]);
+    }
+    EXPECT_EQ(block->data()[args.size()], nullptr);
+  }
+}
+
+TEST(ArgvBlockTest, MoveKeepsPointersValid) {
+  // A std::string buffer would move a short entry to a new address (the
+  // small-string optimisation); the block's one buffer moves whole.
+  const std::vector<std::string> args = {"a", "bb", std::string(64, 'y')};
+  ArgvBlock source(args);
+  const std::vector<char*> before(source.data(), source.data() + args.size());
+  ArgvBlock moved(std::move(source));
+  ArgvBlock assigned;
+  assigned = std::move(moved);
+  ASSERT_EQ(assigned.size(), args.size());
+  for (size_t i = 0; i < args.size(); ++i) {
+    EXPECT_EQ(assigned.data()[i], before[i]);
+    EXPECT_STREQ(assigned.data()[i], args[i].c_str());
+  }
+  EXPECT_EQ(assigned.data()[args.size()], nullptr);
 }
 
 TEST(EnvMapTest, SetGetUnset) {

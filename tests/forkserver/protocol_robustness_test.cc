@@ -16,6 +16,10 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,8 +27,48 @@
 #include "src/forkserver/wire.h"
 #include "src/spawn/spawner.h"
 
+namespace {
+
+// The largest single allocation made while `g_watch_allocations` is set. The
+// operators below replace the whole non-aligned new/delete family, so every
+// block comes from and returns to malloc whichever form allocates it.
+std::atomic<bool> g_watch_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+
+void* WatchedMalloc(size_t n) {
+  if (g_watch_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* WatchedNew(size_t n) {
+  if (void* p = WatchedMalloc(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(size_t n) { return WatchedNew(n); }
+void* operator new[](size_t n) { return WatchedNew(n); }
+void* operator new(size_t n, const std::nothrow_t&) noexcept { return WatchedMalloc(n); }
+void* operator new[](size_t n, const std::nothrow_t&) noexcept { return WatchedMalloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
 namespace forklift {
 namespace {
+
+// Header bytes: {magic, version, type} words plus the u64 request_id.
+constexpr size_t kHeaderSize = 20;
 
 SpawnRequest MakeSampleRequest() {
   Spawner s("/bin/echo");
@@ -98,6 +142,97 @@ TEST(ProtocolRobustnessTest, SpawnRequestRejectsTrailingBytes) {
   ASSERT_TRUE(DecodeSpawnRequest(payload, received).ok());
   payload.push_back('\x01');
   EXPECT_FALSE(DecodeSpawnRequest(payload, received).ok());
+}
+
+// --- declared argv/env counts against the bytes a frame carries ---
+
+// A request whose whole environment is `env`, argv just the program.
+SpawnRequest RequestWithEnv(const EnvMap& env) {
+  auto req = Spawner("/bin/true").SetEnvMap(env).BuildRequest();
+  EXPECT_TRUE(req.ok());
+  return std::move(req).value();
+}
+
+// `n` distinct variables, each with a value of a different length.
+EnvMap ManyVariables(size_t n) {
+  EnvMap env;
+  for (size_t i = 0; i < n; ++i) {
+    env.Set("VAR" + std::to_string(i), std::string(i % 97, 'v') + std::to_string(i));
+  }
+  return env;
+}
+
+TEST(ProtocolRobustnessTest, DeclaredEnvCountBeyondThePayloadIsTruncatedNotReserved) {
+  std::vector<int> fds;
+  auto encoded = EncodeSpawnRequest(RequestWithEnv(EnvMap::FromStrings({"A=1", "B=2"})), &fds);
+  ASSERT_TRUE(encoded.ok());
+  // Header, program, use_path_search, argc, argv[0]; then envc and two
+  // entries, where the frame is cut.
+  const size_t envc_at = kHeaderSize + 4 + std::strlen("/bin/true") + 1 + 4 + 4 +
+                         std::strlen("/bin/true");
+  const size_t envc_end = envc_at + 4 + 2 * (4 + 3);
+  std::string payload = encoded->substr(0, envc_end);
+  uint32_t envc = 0;
+  std::memcpy(&envc, payload.data() + envc_at, sizeof(envc));
+  ASSERT_EQ(envc, 2u) << "offset arithmetic no longer matches the encoder";
+  envc = 16384;
+  std::memcpy(payload.data() + envc_at, &envc, sizeof(envc));
+
+  g_largest_allocation = 0;
+  g_watch_allocations = true;
+  auto decoded = DecodeSpawnRequest(payload, {});
+  g_watch_allocations = false;
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().ToString().find("truncated"), std::string::npos)
+      << decoded.error().ToString();
+  EXPECT_LT(g_largest_allocation.load(), 16384 * sizeof(char*))
+      << "the decoder reserved for entries the frame does not carry";
+}
+
+TEST(ProtocolRobustnessTest, SixteenThousandEntryEnvRoundTripsByteExact) {
+  const EnvMap env = ManyVariables(16384);
+  const SpawnRequest req = RequestWithEnv(env);
+  ASSERT_EQ(req.envp.size(), 16384u);
+  std::vector<int> fds;
+  auto payload = EncodeSpawnRequest(req, &fds);
+  ASSERT_TRUE(payload.ok());
+  auto decoded = DecodeSpawnRequest(*payload, {});
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  const std::vector<std::string> expected = env.ToStrings();
+  ASSERT_EQ(decoded->envp.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(decoded->envp[i], expected[i]) << "entry " << i;
+    ASSERT_EQ(std::string_view(decoded->envp.data()[i]), expected[i]) << "entry " << i;
+  }
+  EXPECT_EQ(decoded->envp.data()[expected.size()], nullptr);
+  ASSERT_EQ(decoded->argv.size(), 1u);
+  EXPECT_STREQ(decoded->argv.data()[0], "/bin/true");
+}
+
+TEST(ProtocolRobustnessTest, OversizedArgvAndEnvCountsStillRefused) {
+  {
+    Spawner s("/bin/true");
+    s.ClearEnv();
+    for (int i = 0; i < 4096; ++i) {
+      s.Arg("a");  // with argv[0], argc = 4097
+    }
+    auto req = s.BuildRequest();
+    ASSERT_TRUE(req.ok());
+    std::vector<int> fds;
+    auto payload = EncodeSpawnRequest(*req, &fds);
+    ASSERT_TRUE(payload.ok());
+    auto decoded = DecodeSpawnRequest(*payload, {});
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.error().ToString().find("argv too large"), std::string::npos);
+  }
+  {
+    std::vector<int> fds;
+    auto payload = EncodeSpawnRequest(RequestWithEnv(ManyVariables(16385)), &fds);
+    ASSERT_TRUE(payload.ok());
+    auto decoded = DecodeSpawnRequest(*payload, {});
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.error().ToString().find("env too large"), std::string::npos);
+  }
 }
 
 // --- encoder validate-before-emit (regression: too many fds errored only
@@ -179,9 +314,6 @@ TEST(ProtocolRobustnessTest, EveryMessageTypeRoundTrips) {
 }
 
 // --- truncation at every byte offset, for every message type ---
-
-// Header bytes: {magic, version, type} words plus the u64 request_id.
-constexpr size_t kHeaderSize = 20;
 
 void ExpectAllTruncationsRejected(const std::string& payload, const char* what) {
   std::vector<UniqueFd> no_fds;

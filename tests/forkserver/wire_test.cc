@@ -40,6 +40,27 @@ TEST(WireTest, StringRoundTrip) {
   EXPECT_EQ(r.GetString().value(), binary);
 }
 
+TEST(WireTest, GetViewPointsIntoTheBuffer) {
+  WireWriter w;
+  w.PutString("");
+  w.PutString("env=1");
+  const std::string& data = w.data();
+  WireReader r(data);
+  EXPECT_EQ(r.GetView().value(), "");
+  auto view = r.GetView();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(*view, "env=1");
+  EXPECT_EQ(view->data(), data.data() + 8);  // two length prefixes, no copy
+  EXPECT_TRUE(r.AtEnd());
+
+  WireReader cut(std::string_view(data).substr(0, data.size() - 1));
+  ASSERT_TRUE(cut.GetView().ok());
+  EXPECT_FALSE(cut.GetView().ok());
+  WireReader capped(data);
+  ASSERT_TRUE(capped.GetView(0).ok());
+  EXPECT_FALSE(capped.GetView(4).ok()) << "a 5-byte string over a 4-byte cap";
+}
+
 TEST(WireTest, TruncatedScalarFails) {
   WireWriter w;
   w.PutU32(7);
@@ -86,26 +107,6 @@ TEST(WireTest, PutStringAtExactBoundStillChecked) {
   w.PutString(huge);
   w.PutU32(1);
   EXPECT_FALSE(w.ok());
-}
-
-TEST(WireTest, PokeU32Backfill) {
-  WireWriter w;
-  w.PutU32(0);  // placeholder
-  w.PutString("body");
-  w.PokeU32(0, static_cast<uint32_t>(w.size() - 4));
-  ASSERT_TRUE(w.ok());
-  WireReader r(w.data());
-  EXPECT_EQ(r.GetU32().value(), w.size() - 4);
-}
-
-TEST(WireTest, PokeU32OutOfBoundsRejected) {
-  WireWriter w;
-  w.PutU32(0);
-  w.PokeU32(1, 7);  // would write past the end
-  EXPECT_FALSE(w.ok());
-  WireWriter w2;
-  w2.PokeU32(0, 7);  // empty buffer: nothing to overwrite
-  EXPECT_FALSE(w2.ok());
 }
 
 TEST(WireTest, BoolOutOfRangeRejected) {

@@ -15,10 +15,14 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
+
+extern char** environ;
 
 namespace forklift {
 namespace {
@@ -687,6 +691,111 @@ TEST(SpawnerBuildRequestTest, RejectsPipeStdio) {
   Spawner s("/bin/echo");
   s.SetStdout(Stdio::Pipe());
   EXPECT_FALSE(s.BuildRequest().ok());
+}
+
+// Points `environ` at a crafted block for one scope.
+class ScopedEnviron {
+ public:
+  explicit ScopedEnviron(char** env) : saved_(environ) { environ = env; }
+  ~ScopedEnviron() { environ = saved_; }
+  ScopedEnviron(const ScopedEnviron&) = delete;
+  ScopedEnviron& operator=(const ScopedEnviron&) = delete;
+
+ private:
+  char** saved_;
+};
+
+// The request's envp as strings, each read both through data() (what exec
+// sees) and operator[] (what the wire encodes).
+std::vector<std::string> EnvpOf(const Spawner& s) {
+  auto req = s.BuildRequest();
+  EXPECT_TRUE(req.ok());
+  if (!req.ok()) {
+    return {};
+  }
+  std::vector<std::string> out;
+  for (size_t i = 0; i < req->envp.size(); ++i) {
+    EXPECT_EQ(std::string_view(req->envp.data()[i]), req->envp[i]) << "entry " << i;
+    out.emplace_back(req->envp[i]);
+  }
+  EXPECT_EQ(req->envp.data()[req->envp.size()], nullptr);
+  return out;
+}
+
+TEST(SpawnerBuildRequestTest, EnvMatchesTheEnvMapReference) {
+  // Unsorted keys, a duplicated key (the first is kept), an entry without
+  // '=', one with an empty key, values holding '=', and a key whose first
+  // byte is above 0x7f (sorted as unsigned, as std::string compares).
+  std::vector<std::string> entries = {"ZED=last", "HOME=/home/user", "PATH=/usr/bin:/bin",
+                                      "HOME=/second", "NOEQUALS", "=emptykey", "EQ=a=b",
+                                      "A_=x", "A=", "lower=1", "\xc3\xa9t\xc3\xa9=utf8"};
+  // Enough variables that sorting them is no plain insertion sort, and five
+  // keys that each appear five times: only a stable sort keeps the first.
+  for (int i = 39; i >= 0; --i) {
+    entries.push_back("K" + std::to_string(i) + "=" + std::to_string(i));
+    for (int d = 0; i % 8 == 0 && d < 5; ++d) {
+      entries.push_back("DUP" + std::to_string(d) + "=copy" + std::to_string(i));
+    }
+  }
+  std::vector<char*> crafted;
+  for (auto& e : entries) {
+    crafted.push_back(e.data());
+  }
+  crafted.push_back(nullptr);
+  const EnvMap inherited = EnvMap::FromBlock(crafted.data());
+  ASSERT_EQ(inherited.Get("HOME").value(), "/home/user");
+  ASSERT_EQ(inherited.Get("DUP3").value(), "copy32");
+  ScopedEnviron scoped(crafted.data());
+
+  {  // plain inherit
+    EXPECT_EQ(EnvpOf(Spawner("/bin/true")), inherited.ToStrings());
+  }
+  {  // SetEnv on an inherited key and on a new one
+    EnvMap ref = inherited;
+    ref.Set("HOME", "/override");
+    ref.Set("DUP2", "override");
+    ref.Set("NEW", "1");
+    EXPECT_EQ(EnvpOf(Spawner("/bin/true")
+                         .SetEnv("HOME", "/override")
+                         .SetEnv("DUP2", "override")
+                         .SetEnv("NEW", "1")),
+              ref.ToStrings());
+  }
+  {  // UnsetEnv: the duplicated key, the last key, and a key that is absent
+    EnvMap ref = inherited;
+    ref.Unset("HOME");
+    ref.Unset("\xc3\xa9t\xc3\xa9");
+    ref.Unset("ABSENT");
+    EXPECT_EQ(EnvpOf(Spawner("/bin/true")
+                         .UnsetEnv("HOME")
+                         .UnsetEnv("\xc3\xa9t\xc3\xa9")
+                         .UnsetEnv("ABSENT")),
+              ref.ToStrings());
+  }
+  {  // ClearEnv + SetEnv
+    EnvMap ref;
+    ref.Set("ONLY", "this");
+    ref.Set("ALSO", "that");
+    EXPECT_EQ(EnvpOf(Spawner("/bin/true").ClearEnv().SetEnv("ONLY", "this").SetEnv("ALSO", "that")),
+              ref.ToStrings());
+  }
+  {  // SetEnvMap + SetEnv + UnsetEnv; an unset beats a set of the same key
+    const EnvMap explicit_env = EnvMap::FromStrings({"B=2", "A=1", "C=3", "D=4"});
+    EnvMap ref = explicit_env;
+    ref.Set("A", "override");
+    ref.Set("E", "5");
+    ref.Set("D", "set-then-unset");
+    ref.Unset("C");
+    ref.Unset("D");
+    EXPECT_EQ(EnvpOf(Spawner("/bin/true")
+                         .SetEnvMap(explicit_env)
+                         .SetEnv("A", "override")
+                         .UnsetEnv("C")
+                         .SetEnv("E", "5")
+                         .SetEnv("D", "set-then-unset")
+                         .UnsetEnv("D")),
+              ref.ToStrings());
+  }
 }
 
 TEST(SpawnerThreadSafetyTest, ConcurrentSpawnsFromManyThreads) {
