@@ -76,7 +76,8 @@ SpawnRequest WorkloadRequest() {
 // The pure data-plane workload: a child that dies immediately, so the cell
 // measures the wire, not the child. The *-trivial cells use submit→pid as
 // the op (no per-child kWait); the server still reaps every exit promptly on
-// its pidfd watches, so nothing accumulates.
+// its pidfd watches, and keeps each unwaited child's record until the cell's
+// channel closes, when the records go with it.
 SpawnRequest TrivialRequest() {
   auto req = Spawner("/bin/true").BuildRequest();
   if (!req.ok()) {

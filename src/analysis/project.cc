@@ -1,56 +1,14 @@
 #include "src/analysis/project.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
 
 #include "src/analysis/callgraph.h"
-#include "src/common/string_util.h"
 
 namespace forklift {
 namespace analysis {
-
-namespace {
-
-uint64_t Fnv1a(std::string_view s, uint64_t h) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string HexKey(uint64_t key) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kDigits[key & 0xf];
-    key >>= 4;
-  }
-  return out;
-}
-
-// `sup` lines carry the rule set as "*" (all rules) or a comma list.
-std::string RuleSpec(const Suppression& s) {
-  if (s.rules.empty()) {
-    return "*";
-  }
-  std::vector<std::string> ids(s.rules.begin(), s.rules.end());
-  return Join(ids, ",");
-}
-
-}  // namespace
-
-Status ProjectAnalyzer::EnableOnly(const std::vector<std::string>& rule_ids) {
-  Status st = analyzer_.EnableOnly(rule_ids);
-  if (st.ok()) {
-    enabled_ = rule_ids;
-  }
-  return st;
-}
 
 ProjectAnalyzer::FileUnit ProjectAnalyzer::AnalyzeOne(const std::string& path,
                                                       std::string_view source) const {
@@ -75,9 +33,6 @@ ProjectReport ProjectAnalyzer::AnalyzeSources(const std::vector<ProjectInput>& i
 Result<ProjectReport> ProjectAnalyzer::AnalyzeFiles(const std::vector<std::string>& paths) const {
   std::vector<FileUnit> units;
   units.reserve(paths.size());
-  size_t hits = 0;
-  size_t misses = 0;
-  const std::string sig = CacheSignature();
   for (const auto& path : paths) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -88,28 +43,9 @@ Result<ProjectReport> ProjectAnalyzer::AnalyzeFiles(const std::vector<std::strin
     if (in.bad()) {
       return ErrnoError("read " + path);
     }
-    const std::string source = buf.str();
-    if (cache_dir_.empty()) {
-      units.push_back(AnalyzeOne(path, source));
-      continue;
-    }
-    uint64_t key = Fnv1a(sig, Fnv1a(path, Fnv1a(source, 1469598103934665603ULL)));
-    const std::string entry =
-        (std::filesystem::path(cache_dir_) / HexKey(key)).string();
-    FileUnit unit;
-    if (TryLoadCache(entry, path, &unit)) {
-      ++hits;
-    } else {
-      ++misses;
-      unit = AnalyzeOne(path, source);
-      SaveCache(entry, unit);
-    }
-    units.push_back(std::move(unit));
+    units.push_back(AnalyzeOne(path, buf.str()));
   }
-  ProjectReport report = Finish(std::move(units));
-  report.cache_hits = hits;
-  report.cache_misses = misses;
-  return report;
+  return Finish(std::move(units));
 }
 
 ProjectReport ProjectAnalyzer::Finish(std::vector<FileUnit> units) const {
@@ -171,126 +107,6 @@ ProjectReport ProjectAnalyzer::Finish(std::vector<FileUnit> units) const {
     report.files.push_back(std::move(unit.report));
   }
   return report;
-}
-
-std::string ProjectAnalyzer::CacheSignature() const {
-  return "forklint-project-v1;" + Join(enabled_, ",");
-}
-
-// Cache entry layout (line-oriented, mirrors the summary wire form):
-//   forklint-cache 1
-//   path <path>
-//   suppressed <count>
-//   finding <rule> <line> <message...>
-//   rel <line> <path> <message...>        (attached to the previous finding)
-//   sup <line> <*|R1,R2>
-//   summaries 1                            (SerializeSummaries output)
-//   ...
-bool ProjectAnalyzer::TryLoadCache(const std::string& file, const std::string& path,
-                                   FileUnit* out) const {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != "forklint-cache 1") {
-    return false;
-  }
-  if (!std::getline(in, line) || !StartsWith(line, "path ") || line.substr(5) != path) {
-    return false;  // (astronomically unlikely) hash collision across paths
-  }
-  out->report = {};
-  out->report.path = path;
-  out->sups.clear();
-  std::ostringstream summary_text;
-  bool in_summaries = false;
-  while (std::getline(in, line)) {
-    if (in_summaries) {
-      summary_text << line << '\n';
-      continue;
-    }
-    if (line == "summaries 1") {
-      in_summaries = true;
-      summary_text << line << '\n';
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "suppressed") {
-      ls >> out->report.suppressed;
-    } else if (kind == "finding") {
-      Finding f;
-      ls >> f.rule >> f.line;
-      std::getline(ls, f.message);
-      f.message = std::string(Trim(f.message));
-      if (ls.fail()) {
-        return false;
-      }
-      f.path = path;
-      out->report.findings.push_back(std::move(f));
-    } else if (kind == "rel") {
-      if (out->report.findings.empty()) {
-        return false;
-      }
-      RelatedLocation rel;
-      ls >> rel.line >> rel.path;
-      std::getline(ls, rel.message);
-      rel.message = std::string(Trim(rel.message));
-      if (ls.fail()) {
-        return false;
-      }
-      out->report.findings.back().related.push_back(std::move(rel));
-    } else if (kind == "sup") {
-      Suppression s;
-      std::string spec;
-      ls >> s.line >> spec;
-      if (ls.fail()) {
-        return false;
-      }
-      if (spec != "*") {
-        for (const auto& id : Split(spec, ',')) {
-          s.rules.insert(id);
-        }
-      }
-      out->sups.push_back(std::move(s));
-    } else if (!kind.empty()) {
-      return false;
-    }
-  }
-  if (!in_summaries) {
-    return false;
-  }
-  if (!DeserializeSummaries(summary_text.str(), &out->summaries)) {
-    return false;
-  }
-  // The wire form carries no path (the entry is per-file); restamp it.
-  for (auto& fn : out->summaries) {
-    fn.path = path;
-  }
-  return true;
-}
-
-void ProjectAnalyzer::SaveCache(const std::string& file, const FileUnit& unit) const {
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir_, ec);  // best-effort
-  std::ofstream out(file, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return;  // a cold cache every run is slower, never wrong
-  }
-  out << "forklint-cache 1\n";
-  out << "path " << unit.report.path << '\n';
-  out << "suppressed " << unit.report.suppressed << '\n';
-  for (const auto& f : unit.report.findings) {
-    out << "finding " << f.rule << ' ' << f.line << ' ' << f.message << '\n';
-    for (const auto& rel : f.related) {
-      out << "rel " << rel.line << ' ' << rel.path << ' ' << rel.message << '\n';
-    }
-  }
-  for (const auto& s : unit.sups) {
-    out << "sup " << s.line << ' ' << RuleSpec(s) << '\n';
-  }
-  out << SerializeSummaries(unit.summaries);
 }
 
 }  // namespace analysis

@@ -7,12 +7,6 @@
 // (R9–R12) whose findings are routed back to the file units they point at —
 // so suppression comments and baselines work identically for both rule
 // classes.
-//
-// Summaries (and the per-file findings) are cacheable: AnalyzeFiles keys a
-// cache entry on the FNV-1a hash of the file's content + path + the analyzer
-// signature, so an unchanged file costs one hash instead of a re-lex. The
-// transitive may-* facts are never cached — they depend on the whole program
-// and are recomputed on every run.
 #ifndef SRC_ANALYSIS_PROJECT_H_
 #define SRC_ANALYSIS_PROJECT_H_
 
@@ -36,8 +30,6 @@ struct ProjectInput {
 // The whole program's findings, one FileReport per input in input order.
 struct ProjectReport {
   std::vector<FileReport> files;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
 
   size_t total_findings() const {
     size_t n = 0;
@@ -50,17 +42,15 @@ struct ProjectReport {
 
 class ProjectAnalyzer {
  public:
-  Status EnableOnly(const std::vector<std::string>& rule_ids);
+  Status EnableOnly(const std::vector<std::string>& rule_ids) {
+    return analyzer_.EnableOnly(rule_ids);
+  }
 
-  // Directory for cached per-file results ("" = caching off). Created on
-  // first write; unreadable/corrupt entries are silently recomputed.
-  void set_cache_dir(std::string dir) { cache_dir_ = std::move(dir); }
-
-  // Analyzes in-memory sources as one program (no cache involved).
+  // Analyzes in-memory sources as one program.
   ProjectReport AnalyzeSources(const std::vector<ProjectInput>& inputs) const;
 
-  // Reads every path and analyzes them as one program, using the summary
-  // cache when a cache dir is set. Fails on the first unreadable file.
+  // Reads every path and analyzes them as one program. Fails on the first
+  // unreadable file.
   Result<ProjectReport> AnalyzeFiles(const std::vector<std::string>& paths) const;
 
   const Analyzer& analyzer() const { return analyzer_; }
@@ -75,14 +65,7 @@ class ProjectAnalyzer {
   FileUnit AnalyzeOne(const std::string& path, std::string_view source) const;
   ProjectReport Finish(std::vector<FileUnit> units) const;
 
-  // Cache plumbing: entries live at <cache_dir>/<hex16-of-key>.
-  std::string CacheSignature() const;
-  bool TryLoadCache(const std::string& file, const std::string& path, FileUnit* out) const;
-  void SaveCache(const std::string& file, const FileUnit& unit) const;
-
   Analyzer analyzer_;
-  std::vector<std::string> enabled_;  // mirror of the filter, for the cache key
-  std::string cache_dir_;
 };
 
 }  // namespace analysis

@@ -1,7 +1,6 @@
 #include "src/analysis/summary.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/rules/rule_util.h"
@@ -452,126 +451,6 @@ void PropagateSummaries(const CallGraph& graph, std::vector<FunctionSummary>* fn
       }
     }
   }
-}
-
-std::string SerializeSummaries(const std::vector<FunctionSummary>& fns) {
-  std::ostringstream out;
-  out << "summaries 1\n";
-  for (const auto& fn : fns) {
-    out << "fn " << fn.arity << ' ' << fn.line << ' ' << fn.name << '\n';
-    for (const auto& c : fn.calls) {
-      out << "call " << c.arity << ' ' << c.line << ' ' << (c.is_member ? 1 : 0) << ' '
-          << (c.lock_held ? 1 : 0) << ' ' << c.lock_line << ' ' << (c.in_child_branch ? 1 : 0)
-          << ' ' << c.callee << ' ' << (c.lock_desc.empty() ? "-" : c.lock_desc) << '\n';
-    }
-    for (const auto& f : fn.forks) {
-      out << "fork " << f.line << ' ' << (f.is_vfork ? 1 : 0) << ' ' << (f.lock_held ? 1 : 0)
-          << ' ' << f.lock_line << ' ' << (f.lock_desc.empty() ? "-" : f.lock_desc) << '\n';
-    }
-    for (const auto& l : fn.leaky_fds) {
-      out << "leak " << l.line << ' ' << (l.escapes ? 1 : 0) << ' ' << l.escape_line << ' '
-          << l.call << ' ' << (l.var.empty() ? "-" : l.var) << ' '
-          << (l.escape_how.empty() ? "-" : l.escape_how) << '\n';
-    }
-    for (const auto& u : fn.unsafe_calls) {
-      out << "unsafe " << u.line << ' ' << u.name << '\n';
-    }
-    if (fn.thread_line != 0) {
-      out << "thread " << fn.thread_line << '\n';
-    }
-    if (fn.exec_line != 0) {
-      out << "exec " << fn.exec_line << ' ' << fn.exec_callee << '\n';
-    }
-  }
-  return out.str();
-}
-
-bool DeserializeSummaries(std::string_view text, std::vector<FunctionSummary>* out) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line) || line != "summaries 1") {
-    return false;
-  }
-  out->clear();
-  auto undash = [](std::string s) { return s == "-" ? std::string() : s; };
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "fn") {
-      FunctionSummary fn;
-      ls >> fn.arity >> fn.line >> fn.name;
-      if (ls.fail()) {
-        return false;
-      }
-      out->push_back(std::move(fn));
-      continue;
-    }
-    if (out->empty()) {
-      return false;
-    }
-    FunctionSummary& fn = out->back();
-    if (kind == "call") {
-      CallSiteRef c;
-      int member = 0, lock = 0, child = 0;
-      ls >> c.arity >> c.line >> member >> lock >> c.lock_line >> child >> c.callee;
-      std::string desc;
-      ls >> desc;
-      if (ls.fail()) {
-        return false;
-      }
-      c.is_member = member != 0;
-      c.lock_held = lock != 0;
-      c.in_child_branch = child != 0;
-      c.lock_desc = undash(desc);
-      fn.calls.push_back(std::move(c));
-    } else if (kind == "fork") {
-      ForkSiteRef f;
-      int vfork = 0, lock = 0;
-      ls >> f.line >> vfork >> lock >> f.lock_line;
-      std::string desc;
-      ls >> desc;
-      if (ls.fail()) {
-        return false;
-      }
-      f.is_vfork = vfork != 0;
-      f.lock_held = lock != 0;
-      f.lock_desc = undash(desc);
-      fn.forks.push_back(std::move(f));
-    } else if (kind == "leak") {
-      LeakyFdRef l;
-      int escapes = 0;
-      std::string var;
-      ls >> l.line >> escapes >> l.escape_line >> l.call >> var;
-      if (ls.fail()) {
-        return false;
-      }
-      l.escapes = escapes != 0;
-      l.var = undash(var);
-      std::string rest;
-      std::getline(ls, rest);
-      std::string_view how = rest;
-      while (!how.empty() && how.front() == ' ') {
-        how.remove_prefix(1);
-      }
-      l.escape_how = undash(std::string(how));
-      fn.leaky_fds.push_back(std::move(l));
-    } else if (kind == "unsafe") {
-      UnsafeCallRef u;
-      ls >> u.line >> u.name;
-      if (ls.fail()) {
-        return false;
-      }
-      fn.unsafe_calls.push_back(std::move(u));
-    } else if (kind == "thread") {
-      ls >> fn.thread_line;
-    } else if (kind == "exec") {
-      ls >> fn.exec_line >> fn.exec_callee;
-    } else if (!kind.empty()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace analysis

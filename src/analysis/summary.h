@@ -6,10 +6,9 @@
 // (with the lock state and fork-child context at each call site), its own
 // fork/exec/thread-creation sites, its direct async-signal-unsafe uses, and
 // any non-CLOEXEC descriptors it creates that escape it. Summaries are
-// extracted per file (so they can be cached keyed by file content hash) and
-// linked across translation units by the CallGraph; PropagateSummaries then
-// runs the transitive may-* facts to a fixed point over the graph, cycles
-// included.
+// extracted per file and linked across translation units by the CallGraph;
+// PropagateSummaries then runs the transitive may-* facts to a fixed point
+// over the graph, cycles included.
 //
 // Like the per-file rules, everything here is heuristic token matching —
 // precision over recall. Lock tracking understands RAII guards
@@ -92,11 +91,6 @@ class CallGraph;  // callgraph.h
 // Runs may_fork/may_exec/may_unsafe to a fixed point over the linked graph.
 // Terminates on cycles (monotone boolean lattice).
 void PropagateSummaries(const CallGraph& graph, std::vector<FunctionSummary>* fns);
-
-// Cache serialization: a stable line-oriented text form of one file's
-// summaries (transitive bits excluded — they are recomputed per program).
-std::string SerializeSummaries(const std::vector<FunctionSummary>& fns);
-bool DeserializeSummaries(std::string_view text, std::vector<FunctionSummary>* out);
 
 }  // namespace analysis
 }  // namespace forklift

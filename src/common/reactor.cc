@@ -90,7 +90,7 @@ Status Reactor::AddFd(int fd, uint32_t events, FdCallback callback) {
   if (fd < 0) {
     return LogicalError("Reactor::AddFd: invalid fd");
   }
-  if (fd_watches_.count(fd) != 0 || fd == timer_fd_.get()) {
+  if (fd_callbacks_.count(fd) != 0 || fd == timer_fd_.get()) {
     return LogicalError("Reactor::AddFd: fd already registered");
   }
   epoll_event ev{};
@@ -104,12 +104,12 @@ Status Reactor::AddFd(int fd, uint32_t events, FdCallback callback) {
   if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
     return ErrnoError("epoll_ctl(ADD)");
   }
-  fd_watches_.emplace(fd, std::make_shared<FdCallback>(std::move(callback)));
+  fd_callbacks_.emplace(fd, std::make_shared<FdCallback>(std::move(callback)));
   return Status::Ok();
 }
 
 Status Reactor::ModifyFd(int fd, uint32_t events) {
-  if (fd_watches_.count(fd) == 0) {
+  if (fd_callbacks_.count(fd) == 0) {
     return LogicalError("Reactor::ModifyFd: fd not registered");
   }
   epoll_event ev{};
@@ -127,11 +127,11 @@ Status Reactor::ModifyFd(int fd, uint32_t events) {
 }
 
 Status Reactor::RemoveFd(int fd) {
-  auto it = fd_watches_.find(fd);
-  if (it == fd_watches_.end()) {
+  auto it = fd_callbacks_.find(fd);
+  if (it == fd_callbacks_.end()) {
     return LogicalError("Reactor::RemoveFd: fd not registered");
   }
-  fd_watches_.erase(it);
+  fd_callbacks_.erase(it);
   auto inj = fault::Check("reactor.epoll_ctl_del", fault::Op::kEpollCtl);
   if (inj.is_errno()) {
     errno = inj.err;
@@ -143,7 +143,7 @@ Status Reactor::RemoveFd(int fd) {
   return Status::Ok();
 }
 
-bool Reactor::HasFd(int fd) const { return fd_watches_.count(fd) != 0; }
+bool Reactor::HasFd(int fd) const { return fd_callbacks_.count(fd) != 0; }
 
 Status Reactor::RearmTimerFd() {
   itimerspec spec{};
@@ -256,8 +256,8 @@ Result<int> Reactor::PollOnce(int timeout_ms) {
     // it — in which case the new watch harmlessly sees a possibly-stale event
     // mask). Holding the shared_ptr keeps the closure alive even if the
     // callback unregisters itself mid-invocation.
-    auto it = fd_watches_.find(events[i].data.fd);
-    if (it == fd_watches_.end()) {
+    auto it = fd_callbacks_.find(events[i].data.fd);
+    if (it == fd_callbacks_.end()) {
       continue;
     }
     std::shared_ptr<FdCallback> callback = it->second;

@@ -71,7 +71,7 @@ class Reactor {
   // fire, and reporting it here turns a silent hang into a clean error.
   Result<int> PollOnce(int timeout_ms);
 
-  size_t fd_watch_count() const { return fd_watches_.size(); }
+  size_t fd_watch_count() const { return fd_callbacks_.size(); }
   size_t timer_count() const { return timers_by_deadline_.size(); }
 
  private:
@@ -86,7 +86,7 @@ class Reactor {
 
   UniqueFd epoll_fd_;
   UniqueFd timer_fd_;
-  std::map<int, std::shared_ptr<FdCallback>> fd_watches_;
+  std::map<int, std::shared_ptr<FdCallback>> fd_callbacks_;
   std::multimap<uint64_t, TimerEntry> timers_by_deadline_;
   std::map<TimerId, uint64_t> timer_deadlines_;  // id -> deadline, for cancel
   TimerId next_timer_id_ = 1;

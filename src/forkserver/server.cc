@@ -75,46 +75,52 @@ obs::Histogram& FramesPerFlush() {
 
 }  // namespace
 
-ForkServer::ForkServer(UniqueFd sock) { socks_.push_back(std::move(sock)); }
+ForkServer::ForkServer(UniqueFd sock) { channels_[sock.get()].sock = std::move(sock); }
 
 Result<ForkServer> ForkServer::Listen(const std::string& path) {
-  FORKLIFT_ASSIGN_OR_RETURN(UniqueFd listener, BindUnixListener(path));
+  FORKLIFT_ASSIGN_OR_RETURN(UniqueFd fd, BindUnixListener(path));
   ForkServer server;
-  server.listener_ = std::move(listener);
-  server.listen_path_ = path;
+  server.listeners_.push_back(Listener{std::move(fd), path});
   return server;
 }
 
 Status ForkServer::ListenMetrics(const std::string& path) {
-  FORKLIFT_ASSIGN_OR_RETURN(metrics_listener_, BindUnixListener(path));
-  metrics_listen_path_ = path;
+  FORKLIFT_ASSIGN_OR_RETURN(UniqueFd fd, BindUnixListener(path));
+  listeners_.push_back(Listener{std::move(fd), path});
   return Status::Ok();
 }
 
-Status ForkServer::RegisterChannel(int fd) {
+Status ForkServer::AdoptChannel(UniqueFd sock) {
+  const int fd = sock.get();
+  channels_[fd].sock = std::move(sock);
+  return WatchChannel(fd);
+}
+
+Status ForkServer::WatchChannel(int fd) {
   // Non-blocking so the drain loop can empty the socket and stop on EAGAIN
   // instead of guessing how much one event is worth. (AF_UNIX fd passing
   // means each end is its own file description; this never flips the peer.)
   FORKLIFT_RETURN_IF_ERROR(SetNonBlocking(fd, true));
-  channels_.emplace(fd, Channel{});
   return reactor_->AddFd(fd, EPOLLIN, [this, fd](uint32_t) { OnChannelReadable(fd); });
 }
 
 void ForkServer::CloseChannel(int fd) {
   (void)reactor_->RemoveFd(fd);
   channels_.erase(fd);
-  // Waits parked by this channel die with it — their fd number may be reused
-  // by the next accept, and a reply there would correlate to a stranger.
-  for (auto& [pid, waiters] : parked_waits_) {
-    (void)pid;
-    std::erase_if(waiters, [fd](const ParkedWait& w) { return w.sock == fd; });
-  }
-  std::erase_if(parked_waits_, [](const auto& entry) { return entry.second.empty(); });
-  for (auto it = socks_.begin(); it != socks_.end(); ++it) {
-    if (it->get() == fd) {
-      socks_.erase(it);
-      return;
+  // Its parked waits die with it (its fd number may be reused by the next
+  // accept, and a reply there would reach a stranger), and so do its reaped
+  // children's statuses; its live children are marked to go at reap.
+  for (auto it = children_.begin(); it != children_.end();) {
+    Child& child = it->second;
+    std::erase_if(child.waits, [fd](const ParkedWait& w) { return w.sock == fd; });
+    if (child.channel == fd) {
+      child.channel = -1;
+      if (child.status) {
+        it = children_.erase(it);
+        continue;
+      }
     }
+    ++it;
   }
 }
 
@@ -126,8 +132,7 @@ void ForkServer::OnListenerReadable(int listener_fd) {
     }
     return;
   }
-  socks_.emplace_back(client);
-  Status registered = RegisterChannel(client);
+  Status registered = AdoptChannel(UniqueFd(client));
   if (!registered.ok()) {
     serve_error_ = registered;
   }
@@ -263,49 +268,34 @@ void ForkServer::CloseAfterFlush(int fd, Status cause) {
   CloseChannel(fd);
 }
 
-void ForkServer::CompleteParkedWaits(pid_t pid, const ExitStatus& status) {
-  auto it = parked_waits_.find(pid);
-  if (it == parked_waits_.end()) {
-    return;
+void ForkServer::OnChildExit(pid_t pid) {
+  // Reaped the instant the pidfd signals, so the zombie is short-lived and
+  // parked waits are answered out of order with the channels' other work.
+  auto it = children_.find(pid);  // present: the firing watch lives in it
+  Child& child = it->second;
+  child.watch.Disarm();  // fired: release its pidfd now
+  int raw = 0;
+  if (::waitpid(pid, &raw, WNOHANG) != pid) {
+    return;  // left to HandleWait's blocking fallback
   }
-  std::vector<ParkedWait> waiters = std::move(it->second);
-  parked_waits_.erase(it);
-  live_children_.erase(pid);
-  exited_.erase(pid);
   WaitReply reply;
   reply.ok = true;
-  reply.status = status;
-  for (const auto& w : waiters) {
+  reply.status = DecodeWaitStatus(raw);
+  if (child.waits.empty() && child.channel >= 0) {
+    child.status = reply.status;
+    return;
+  }
+  // Erase before answering: a failed flush closes that waiter's channel, and
+  // CloseChannel walks the table.
+  std::vector<ParkedWait> waits = std::move(child.waits);
+  children_.erase(it);
+  for (const auto& w : waits) {
     QueueReply(w.sock, EncodeWaitReply(reply, w.meta));
     if (Status sent = FlushReplies(w.sock); !sent.ok()) {
       // The waiter's channel broke while its wait was parked: that client is
       // gone, not the server — drop the channel and keep serving.
       CloseAfterFlush(w.sock, sent);
     }
-  }
-}
-
-void ForkServer::ArmChildExitWatch(pid_t pid) {
-  if (!reactor_.has_value()) {
-    return;
-  }
-  // Eagerly reap the instant the pidfd signals so the zombie is short-lived
-  // and the eventual kWait is served from exited_ without blocking — and any
-  // wait already parked on this child is answered right here, out of order
-  // with whatever else the channels are doing. A watch that fails to arm
-  // leaves the child to HandleWait's blocking fallback.
-  auto watch = ChildWatch::Arm(*reactor_, pid, [this, pid] {
-    int raw = 0;
-    pid_t reaped = ::waitpid(pid, &raw, WNOHANG);
-    if (reaped == pid) {
-      ExitStatus status = DecodeWaitStatus(raw);
-      exited_.emplace(pid, status);
-      CompleteParkedWaits(pid, status);
-    }
-    watches_.erase(pid);
-  });
-  if (watch.ok()) {
-    watches_.emplace(pid, std::move(*watch));
   }
 }
 
@@ -316,14 +306,11 @@ Result<uint64_t> ForkServer::Serve() {
   serve_error_ = Status::Ok();
 
   Status error;
-  if (listener_.valid()) {
-    int fd = listener_.get();
-    error = reactor_->AddFd(fd, EPOLLIN, [this, fd](uint32_t) { OnListenerReadable(fd); });
-  }
-  if (error.ok() && metrics_listener_.valid()) {
-    // Metrics scrapers are ordinary channels on a dedicated socket: they can
-    // only usefully send kStats, but the framing and dispatch are identical.
-    int fd = metrics_listener_.get();
+  for (const Listener& l : listeners_) {
+    if (!error.ok()) {
+      break;
+    }
+    const int fd = l.fd.get();
     error = reactor_->AddFd(fd, EPOLLIN, [this, fd](uint32_t) { OnListenerReadable(fd); });
   }
   if (error.ok() && sigusr1_dump_) {
@@ -346,17 +333,16 @@ Result<uint64_t> ForkServer::Serve() {
       });
     }
   }
-  for (const auto& sock : socks_) {
+  for (const auto& [fd, channel] : channels_) {
     if (!error.ok()) {
       break;
     }
-    error = RegisterChannel(sock.get());
+    error = WatchChannel(fd);
   }
 
-  // One epoll set multiplexes channels, the listener, and child pidfds; the
+  // One epoll set multiplexes channels, the listeners, and child pidfds; the
   // loop parks here until any of them has work.
-  while (error.ok() && !stop_serving_ &&
-         (listener_.valid() || metrics_listener_.valid() || !socks_.empty())) {
+  while (error.ok() && !stop_serving_ && (!listeners_.empty() || !channels_.empty())) {
     auto dispatched = reactor_->PollOnce(-1);
     if (!dispatched.ok()) {
       error = Err(dispatched.error());
@@ -368,11 +354,10 @@ Result<uint64_t> ForkServer::Serve() {
     }
   }
 
-  // Drop every registration (watches first — they deregister against the
-  // reactor) so no callback capturing `this` outlives Serve. Waits still
-  // parked die with their channels; their clients see EOF.
-  watches_.clear();
-  parked_waits_.clear();
+  // Drop every registration (the children's watches first — they deregister
+  // against the reactor) so no callback capturing `this` outlives Serve.
+  // Waits still parked die with their channels; their clients see EOF.
+  children_.clear();
   channels_.clear();
   reactor_.reset();
   if (sigusr1_fd_.valid()) {
@@ -382,11 +367,10 @@ Result<uint64_t> ForkServer::Serve() {
     ::sigaddset(&mask, SIGUSR1);
     ::sigprocmask(SIG_UNBLOCK, &mask, nullptr);
   }
-  if (!listen_path_.empty()) {
-    ::unlink(listen_path_.c_str());
-  }
-  if (!metrics_listen_path_.empty()) {
-    ::unlink(metrics_listen_path_.c_str());
+  for (const Listener& l : listeners_) {
+    if (!l.path.empty()) {
+      ::unlink(l.path.c_str());
+    }
   }
   if (!error.ok()) {
     return Err(error.error());
@@ -436,9 +420,7 @@ Result<bool> ForkServer::HandleFrame(int sock, Frame frame) {
         QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
         return true;
       }
-      int adopted = frame.fds[0].get();
-      socks_.push_back(std::move(frame.fds[0]));
-      FORKLIFT_RETURN_IF_ERROR(RegisterChannel(adopted));
+      FORKLIFT_RETURN_IF_ERROR(AdoptChannel(std::move(frame.fds[0])));
       QueueReply(sock, EncodeControl(MsgType::kNewChannelAck, reply_meta));
       return true;
     }
@@ -478,7 +460,7 @@ Result<std::vector<UniqueFd>> ForkServer::RelocateFds(std::vector<UniqueFd> fds)
   return high_fds;
 }
 
-SpawnReply ForkServer::LaunchDecoded(const SpawnRequest& req) {
+SpawnReply ForkServer::LaunchDecoded(int sock, const SpawnRequest& req) {
   SpawnReply reply;
   // The zygote's only engine: nothing of the zygote is copied (server.h).
   auto pid = Clone3Backend().Launch(req);
@@ -489,8 +471,16 @@ SpawnReply ForkServer::LaunchDecoded(const SpawnRequest& req) {
   } else {
     reply.ok = true;
     reply.pid = static_cast<int32_t>(*pid);
-    live_children_.insert(*pid);
-    ArmChildExitWatch(*pid);
+    // Assign, never emplace: a record already under this pid can only be a
+    // reaped child nobody waited for (a live or zombie child holds its pid),
+    // and its status must not answer for this one. A watch that fails to arm
+    // leaves the child to HandleWait's blocking fallback.
+    Child& child = children_[*pid] = Child{};
+    child.channel = sock;
+    auto watch = ChildWatch::Arm(*reactor_, *pid, [this, p = *pid] { OnChildExit(p); });
+    if (watch.ok()) {
+      child.watch = std::move(*watch);
+    }
     ++spawns_handled_;
     // Server-side view in the shared arena: with shards forked after the
     // registry arena exists, every shard's spawns land in one counter.
@@ -518,7 +508,7 @@ Status ForkServer::HandleSpawn(int sock, const std::string& payload,
     reply.err = req.error().code();
     reply.context = req.error().ToString();
   } else {
-    reply = LaunchDecoded(*req);
+    reply = LaunchDecoded(sock, *req);
   }
   QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
   return Status::Ok();
@@ -555,51 +545,46 @@ Status ForkServer::HandleStats(int sock, const std::string& payload,
 
 Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameMeta& reply_meta) {
   auto pid = DecodeWait(payload);
+  auto it = pid.ok() ? children_.find(*pid) : children_.end();
   WaitReply reply;
   if (!pid.ok()) {
     reply.ok = false;
     reply.context = pid.error().ToString();
-  } else if (live_children_.count(static_cast<pid_t>(*pid)) == 0) {
+  } else if (it == children_.end()) {
     reply.ok = false;
     reply.err = ECHILD;
     reply.context = "forkserver: pid " + std::to_string(*pid) + " is not a live child";
+  } else if (it->second.status) {
+    // The reactor already observed the exit and reaped: answer immediately.
+    reply.ok = true;
+    reply.status = *it->second.status;
+    children_.erase(it);
+  } else if (it->second.watch.armed()) {
+    // Not yet exited: park the wait on the child's record and keep the
+    // channel moving. OnChildExit sends the reply when the pidfd fires.
+    it->second.waits.push_back(ParkedWait{sock, reply_meta});
+    return Status::Ok();
   } else {
-    pid_t p = static_cast<pid_t>(*pid);
-    auto cached = exited_.find(p);
-    if (cached != exited_.end()) {
-      // The reactor already observed the exit and reaped: answer immediately.
-      reply.ok = true;
-      reply.status = cached->second;
-      exited_.erase(cached);
-      live_children_.erase(p);
-    } else if (watches_.count(p) > 0) {
-      // Not yet exited: park the wait on the child's exit watch and keep the
-      // channel moving. The reply is sent by CompleteParkedWaits when the
-      // pidfd fires.
-      parked_waits_[p].push_back(ParkedWait{sock, reply_meta});
-      return Status::Ok();
+    // The child's exit watch failed to arm, so nothing will wake the
+    // reactor on its exit (and no wait can be parked on it): reap it here
+    // with a blocking wait. This stalls every channel until the child
+    // exits. Flush anything already queued on this channel first: a
+    // coalesced burst's earlier replies must not sit unsent behind a
+    // potentially unbounded child lifetime. A peer that cannot take them
+    // is gone: close its channel, but still reap the child so it does not
+    // linger as a zombie (QueueReply drops the reply for the closed channel).
+    if (Status flushed = FlushReplies(sock); !flushed.ok()) {
+      CloseAfterFlush(sock, flushed);
+    }
+    auto st = WaitForExit(*pid);
+    if (!st.ok()) {
+      reply.ok = false;
+      reply.err = st.error().code();
+      reply.context = st.error().ToString();
     } else {
-      // The child's exit watch failed to arm, so nothing will wake the
-      // reactor on its exit (and no wait can be parked on it): reap it here
-      // with a blocking wait. This stalls every channel until the child
-      // exits. Flush anything already queued on this channel first: a
-      // coalesced burst's earlier replies must not sit unsent behind a
-      // potentially unbounded child lifetime. A peer that cannot take them
-      // is gone: close its channel, but still reap the child so it does not
-      // linger as a zombie (QueueReply drops the reply for the closed channel).
-      if (Status flushed = FlushReplies(sock); !flushed.ok()) {
-        CloseAfterFlush(sock, flushed);
-      }
-      auto st = WaitForExit(p);
-      if (!st.ok()) {
-        reply.ok = false;
-        reply.err = st.error().code();
-        reply.context = st.error().ToString();
-      } else {
-        reply.ok = true;
-        reply.status = *st;
-        live_children_.erase(p);
-      }
+      reply.ok = true;
+      reply.status = *st;
+      children_.erase(*pid);
     }
   }
   QueueReply(sock, EncodeWaitReply(reply, reply_meta));

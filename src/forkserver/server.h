@@ -12,22 +12,30 @@
 // Additional channels are adopted at runtime via kNewChannel frames
 // carrying a socket (SCM_RIGHTS), so each client thread can own a private
 // channel. One Reactor multiplexes everything Serve watches: client channels,
-// the daemon listener, and a pidfd per live child — so a child's exit is
-// observed (and its status cached for the eventual kWait) without any
-// polling tick. Single-threaded by design: a zygote must stay small and must
-// not hold locks across its forks. Replies are answered out of order: a kWait
-// for a child that has not yet exited parks on that child's pidfd watch and
-// is answered when the exit is observed, so it never blocks the channel. The
-// one blocking path left is the fallback for a child whose exit watch failed
-// to arm: with nothing to wake the reactor on its exit, the kWait reaps it
-// with a blocking waitpid, stalling every channel until the child exits.
-// Each wakeup drains a channel's whole burst and answers it in one coalesced
-// write (the only batching on the wire: clients write one frame per
-// request). A peer that hangs up mid-frame, sends a hostile length prefix,
-// or leaves before its replies are written loses only its own channel. A
-// peer that keeps sending but never reads its replies is not contained: once
-// its socket buffer fills, the reply flush blocks the reactor, and with it
-// every channel.
+// the listeners, and a pidfd per live child, so a child's exit is observed
+// without any polling tick. Single-threaded by design: a zygote must stay
+// small and must not hold locks across its forks.
+//
+// Each child has one record, keyed by pid, from launch until a kWait
+// collects its status: its channel, its exit watch, its status once reaped,
+// and the waits parked on it. Any channel may wait for any child. A launch
+// overwrites the record under its pid, so a reused pid never inherits a
+// reaped, unwaited child's status. A closing channel takes its reaped
+// children's records with it; its live ones go at reap unless another
+// channel has a wait parked on them.
+//
+// Replies are answered out of order: a kWait for a child that has not yet
+// exited parks on its record and is answered when the exit is observed, so
+// it never blocks the channel. The one blocking path left is the fallback
+// for a child whose exit watch failed to arm: with nothing to wake the
+// reactor on its exit, the kWait reaps it with a blocking waitpid, stalling
+// every channel until the child exits. Each wakeup drains a channel's whole
+// burst and answers it in one coalesced write (the only batching on the
+// wire: clients write one frame per request). A peer that hangs up
+// mid-frame, sends a hostile length prefix, or leaves before its replies are
+// written loses only its own channel. A peer that keeps sending but never
+// reads its replies is not contained: once its socket buffer fills, the
+// reply flush blocks the reactor, and with it every channel.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
 
@@ -35,7 +43,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -78,31 +85,44 @@ class ForkServer {
   // take — has its burst's replies flushed and is closed alone.
   Result<uint64_t> Serve();
 
-  // Children spawned but not yet waited (visible for tests).
-  const std::set<pid_t>& live_children() const { return live_children_; }
-
   // Shard mode (SpawnShardProcess): the forked shard serves the inherited
   // listeners but must not unlink the socket files — the supervising parent
   // owns them.
   void DisownListenPath() {
-    listen_path_.clear();
-    metrics_listen_path_.clear();
+    for (Listener& l : listeners_) {
+      l.path.clear();
+    }
   }
 
  private:
-  // A kWait for a live child, parked until its pidfd watch fires.
+  // A kWait for a live child, parked until its exit is observed.
   struct ParkedWait {
     int sock = -1;
     FrameMeta meta;
   };
 
-  // Per-channel wire state: the receive-side reassembly buffer and the
-  // send-side reply coalescing buffer (complete framed replies accumulated
-  // during one wakeup's burst, flushed in one writev).
+  // The one record of a child, from launch until a kWait collects it.
+  struct Child {
+    int channel = -1;  // the spawning channel's fd; -1 once that channel closed
+    ChildWatch watch;  // armed until the exit is observed
+    std::optional<ExitStatus> status;  // reaped, not yet waited for
+    std::vector<ParkedWait> waits;     // answered when the exit is observed
+  };
+
+  // One client channel: its socket, the receive-side reassembly buffer and
+  // the send-side reply coalescing buffer (complete framed replies
+  // accumulated during one wakeup's burst, flushed in one writev).
   struct Channel {
+    UniqueFd sock;
     FrameBuffer in;
     std::string out;
     size_t out_frames = 0;
+  };
+
+  // A listening socket whose accepted connections become channels.
+  struct Listener {
+    UniqueFd fd;
+    std::string path;  // unlinked when Serve returns; empty once disowned
   };
 
   // Returns true when the server should keep running.
@@ -115,8 +135,11 @@ class ForkServer {
   // (faultinject site `forkserver.relocate_fd`); errno error on failure.
   Result<std::vector<UniqueFd>> RelocateFds(std::vector<UniqueFd> fds);
   // The launch half of a spawn once the request is decoded: clone_vm+exec,
-  // child bookkeeping (live set, exit watch, counters), reply construction.
-  SpawnReply LaunchDecoded(const SpawnRequest& req);
+  // the child's record and exit watch, counters, reply construction.
+  SpawnReply LaunchDecoded(int sock, const SpawnRequest& req);
+  // The exit watch of `pid` fired: reaps it, then keeps the status for a
+  // later kWait or answers the waits parked on it.
+  void OnChildExit(pid_t pid);
   // Appends one framed reply to `sock`'s coalescing buffer (dropped when the
   // channel is already closed).
   void QueueReply(int sock, std::string_view payload);
@@ -125,43 +148,32 @@ class ForkServer {
   // Flushes what `fd` has queued (best effort), then closes that channel
   // alone, logging `cause` — or, when it is ok, a failed flush.
   void CloseAfterFlush(int fd, Status cause);
-  // Answers every wait parked on `pid` with `status` and forgets the child.
-  void CompleteParkedWaits(pid_t pid, const ExitStatus& status);
 
   // Reactor plumbing for Serve: channel/listener registration and the
   // callbacks they dispatch to. Callbacks record reactor failures in
   // serve_error_ (and request shutdown via stop_serving_) for the Serve loop
   // to act on; a failure of one channel closes that channel instead.
-  Status RegisterChannel(int fd);
+  Status AdoptChannel(UniqueFd sock);
+  Status WatchChannel(int fd);
   void OnChannelReadable(int fd);
   void OnListenerReadable(int listener_fd);
   void CloseChannel(int fd);
-  // Watches `pid` on the reactor; when it exits, the status is reaped into
-  // exited_ so a later kWait is served without blocking.
-  void ArmChildExitWatch(pid_t pid);
 
   ForkServer() = default;
 
-  std::vector<UniqueFd> socks_;
-  // Keyed by channel fd; entries live from RegisterChannel to CloseChannel.
+  // Keyed by channel fd; entries live from adoption to CloseChannel.
   // std::map: handlers adopt channels (insert) mid-drain, and node-based
   // iterators stay valid across that.
   std::map<int, Channel> channels_;
-  UniqueFd listener_;
-  std::string listen_path_;
-  UniqueFd metrics_listener_;
-  std::string metrics_listen_path_;
+  std::vector<Listener> listeners_;
   bool sigusr1_dump_ = false;
-  std::set<pid_t> live_children_;
   uint64_t spawns_handled_ = 0;
 
-  // Serve-scoped state. The reactor is declared before the watches so the
+  // Serve-scoped state. The reactor is declared before the children so their
   // watches (which deregister against it) are destroyed first.
   std::optional<Reactor> reactor_;
   UniqueFd sigusr1_fd_;  // signalfd for the stats dump, when enabled
-  std::map<pid_t, ChildWatch> watches_;
-  std::map<pid_t, ExitStatus> exited_;  // reaped ahead of the client's kWait
-  std::map<pid_t, std::vector<ParkedWait>> parked_waits_;
+  std::map<pid_t, Child> children_;
   bool stop_serving_ = false;
   Status serve_error_;
 };

@@ -21,7 +21,7 @@ Status ReadyNotifier::NotifyReady() {
   return Status::Ok();
 }
 
-Result<ReadyNotifier> Daemonize(const DaemonizeOptions& options) {
+Result<ReadyNotifier> Daemonize() {
   FORKLIFT_ASSIGN_OR_RETURN(Pipe ready, MakePipe());
 
   // No reap obligation: the original process _exits below and both children
@@ -55,17 +55,15 @@ Result<ReadyNotifier> Daemonize(const DaemonizeOptions& options) {
   }
 
   // The daemon.
-  ::umask(options.umask_value);
-  if (options.chdir_root && ::chdir("/") < 0) {
+  ::umask(027);
+  if (::chdir("/") < 0) {
     return ErrnoError("chdir / (daemonize)");
   }
-  if (options.null_stdio) {
-    // CLOEXEC on the source fd: the dup2'd stdio copies stay inheritable.
-    FORKLIFT_ASSIGN_OR_RETURN(UniqueFd devnull, OpenFd("/dev/null", O_RDWR | O_CLOEXEC));
-    FORKLIFT_RETURN_IF_ERROR(Dup2(devnull.get(), 0));
-    FORKLIFT_RETURN_IF_ERROR(Dup2(devnull.get(), 1));
-    FORKLIFT_RETURN_IF_ERROR(Dup2(devnull.get(), 2));
-  }
+  // CLOEXEC on the source fd: the dup2'd stdio copies stay inheritable.
+  FORKLIFT_ASSIGN_OR_RETURN(UniqueFd devnull, OpenFd("/dev/null", O_RDWR | O_CLOEXEC));
+  FORKLIFT_RETURN_IF_ERROR(Dup2(devnull.get(), 0));
+  FORKLIFT_RETURN_IF_ERROR(Dup2(devnull.get(), 1));
+  FORKLIFT_RETURN_IF_ERROR(Dup2(devnull.get(), 2));
   return ReadyNotifier(std::move(ready.write_end));
 }
 

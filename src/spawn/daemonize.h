@@ -1,8 +1,9 @@
 // forklift/spawn: classic daemonization, with a readiness handshake.
 //
 // The double-fork dance is fork's most ritualized use: fork, setsid (escape
-// the controlling terminal), fork again (never reacquire one), detach stdio,
-// chdir. It is also where naive implementations race: the launcher exits
+// the controlling terminal), fork again (never reacquire one), detach stdio
+// onto /dev/null, chdir("/") (never pin the launch directory's filesystem),
+// umask 027. It is also where naive implementations race: the launcher exits
 // before the daemon is actually serving. Daemonize() keeps a pipe between the
 // generations — the original process does not exit until the daemon calls
 // NotifyReady() (or dies), so "the command returned 0" means "the service is
@@ -13,18 +14,10 @@
 #ifndef SRC_SPAWN_DAEMONIZE_H_
 #define SRC_SPAWN_DAEMONIZE_H_
 
-#include <sys/types.h>
-
 #include "src/common/result.h"
 #include "src/common/unique_fd.h"
 
 namespace forklift {
-
-struct DaemonizeOptions {
-  bool chdir_root = true;    // avoid pinning the launch directory's filesystem
-  bool null_stdio = true;    // stdin/stdout/stderr onto /dev/null
-  mode_t umask_value = 027;
-};
 
 // One-shot token the daemon uses to release its launcher.
 class ReadyNotifier {
@@ -46,7 +39,7 @@ class ReadyNotifier {
 // Forks twice; the intermediate generations _exit. Returns, in the DAEMON
 // ONLY, the notifier to call once initialization succeeds. The original
 // caller never sees a return: it waits for readiness (exit 0) or EOF (exit 1).
-Result<ReadyNotifier> Daemonize(const DaemonizeOptions& options);
+Result<ReadyNotifier> Daemonize();
 
 }  // namespace forklift
 

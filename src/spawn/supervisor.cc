@@ -68,7 +68,12 @@ Status Supervisor::ArmWatch(Service& svc) {
   return Status::Ok();
 }
 
-void Supervisor::ScheduleRestartWake(Service& svc) {
+void Supervisor::ArmRestartBackoff(Service& svc) {
+  double backoff = options_.restart_backoff_base_seconds *
+                   std::pow(2.0, std::max(0, svc.consecutive_failures - 1));
+  backoff = std::min(backoff, options_.restart_backoff_cap_seconds);
+  svc.restart_not_before_ns = MonotonicNanos() + static_cast<uint64_t>(backoff * 1e9);
+  svc.pending_restart = true;
   // A timerfd deadline at the backoff gate: the wake alone suffices, since
   // ReapAndRestart re-checks restart_not_before_ns against the clock.
   svc.restart_timer = reactor_->AddTimerAt(svc.restart_not_before_ns, [] {});
@@ -108,8 +113,6 @@ Result<Supervisor::ServiceId> Supervisor::Launch(const Spawner& spawner, std::st
 
 Result<std::vector<Supervisor::Event>> Supervisor::ReapAndRestart() {
   std::vector<Event> events;
-  uint64_t now = MonotonicNanos();
-
   for (auto& [id, svc] : services_) {
     if (svc.running) {
       auto st = svc.child.TryWait();
@@ -135,12 +138,7 @@ Result<std::vector<Supervisor::Event>> Supervisor::ReapAndRestart() {
         FORKLIFT_WARN("supervisor: abandoning '%s' after %d consecutive failures",
                       svc.name.c_str(), svc.consecutive_failures);
       } else if (want_restart) {
-        double backoff = options_.restart_backoff_base_seconds *
-                         std::pow(2.0, std::max(0, svc.consecutive_failures - 1));
-        backoff = std::min(backoff, options_.restart_backoff_cap_seconds);
-        svc.restart_not_before_ns = now + static_cast<uint64_t>(backoff * 1e9);
-        svc.pending_restart = true;
-        ScheduleRestartWake(svc);
+        ArmRestartBackoff(svc);
         ev.will_restart = true;
       }
       events.push_back(std::move(ev));
@@ -160,13 +158,7 @@ Result<std::vector<Supervisor::Event>> Supervisor::ReapAndRestart() {
           ev.abandoned = true;
           events.push_back(std::move(ev));
         } else {
-          double backoff = options_.restart_backoff_base_seconds *
-                           std::pow(2.0, std::max(0, svc.consecutive_failures - 1));
-          svc.restart_not_before_ns =
-              MonotonicNanos() + static_cast<uint64_t>(
-                                     std::min(backoff, options_.restart_backoff_cap_seconds) * 1e9);
-          svc.pending_restart = true;
-          ScheduleRestartWake(svc);
+          ArmRestartBackoff(svc);
         }
         continue;
       }

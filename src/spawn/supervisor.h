@@ -124,7 +124,9 @@ class Supervisor {
 
   Status EnsureReactor();
   Status ArmWatch(Service& svc);
-  void ScheduleRestartWake(Service& svc);
+  // Gates the next restart at base * 2^(failures-1), capped, and arms a
+  // reactor timer to wake at the gate.
+  void ArmRestartBackoff(Service& svc);
   Result<std::vector<Event>> ReapAndRestart();
   // (Re)starts a service's child: through service_ when set, else the
   // template's own backend.

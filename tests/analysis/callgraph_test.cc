@@ -1,7 +1,7 @@
 // Unit tests for the whole-program layer beneath R9–R12: per-function summary
 // extraction (calls, locks, forks, fds, threads, execs), name+arity call-graph
-// linkage across files, fixed-point propagation over cycles, chain recovery,
-// and the cache wire format.
+// linkage across files, fixed-point propagation over cycles, and chain
+// recovery.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -291,42 +291,6 @@ TEST(CallGraph, ChainToRecoversShortestPath) {
   EXPECT_EQ(fns[chain[0].fn].calls[chain[0].call].callee, "Mid");
   EXPECT_EQ(fns[chain[1].fn].name, "Mid");
   EXPECT_EQ(fns[chain[1].fn].calls[chain[1].call].callee, "Deep");
-}
-
-TEST(SummarySerialization, RoundTripIsLossless) {
-  auto fns = Summarize(R"cc(
-    int Opener() {
-      int fd = open("/tmp/x", O_WRONLY);
-      return fd;
-    }
-    void Busy() {
-      std::lock_guard<std::mutex> guard(g_mu);
-      pthread_create(&tid, nullptr, Work, nullptr);
-      pid_t p = fork();
-      if (p == 0) {
-        printf("child");
-        execv("/bin/true", nullptr);
-      }
-      Opener();
-    }
-  )cc",
-                       "a.cc");
-  const std::string wire = SerializeSummaries(fns);
-  std::vector<FunctionSummary> back;
-  ASSERT_TRUE(DeserializeSummaries(wire, &back));
-  ASSERT_EQ(back.size(), fns.size());
-  EXPECT_EQ(SerializeSummaries(back), wire);
-  const FunctionSummary& busy = Get(back, "Busy");
-  EXPECT_EQ(busy.forks.size(), Get(fns, "Busy").forks.size());
-  EXPECT_TRUE(busy.forks[0].lock_held);
-  EXPECT_NE(busy.thread_line, 0);
-  EXPECT_EQ(Get(back, "Opener").leaky_fds.size(), 1u);
-}
-
-TEST(SummarySerialization, RejectsGarbage) {
-  std::vector<FunctionSummary> out;
-  EXPECT_FALSE(DeserializeSummaries("not a cache entry", &out));
-  EXPECT_FALSE(DeserializeSummaries("summaries 1\ncall before any fn", &out));
 }
 
 }  // namespace

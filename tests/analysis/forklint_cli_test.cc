@@ -153,17 +153,5 @@ TEST(ForklintCli, UpdateBaselineRequiresBaselinePath) {
   EXPECT_EQ(r->status.exit_code, 255);
 }
 
-TEST(ForklintCli, ProjectCacheDirSpeedsSecondRunUnchanged) {
-  std::string cache = ::testing::TempDir() + "forklint_cli_cache";
-  auto first = RunAndCapture(kBin, {"--project", "--rules=R9", "--cache-dir=" + cache,
-                                    kFixtures + "/r9_positive.cc"});
-  ASSERT_TRUE(first.ok());
-  auto second = RunAndCapture(kBin, {"--project", "--rules=R9", "--cache-dir=" + cache,
-                                     kFixtures + "/r9_positive.cc"});
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->status.exit_code, second->status.exit_code);
-  EXPECT_EQ(first->stdout_data, second->stdout_data);
-}
-
 }  // namespace
 }  // namespace forklift

@@ -1,11 +1,10 @@
 // Golden-fixture tests for the interprocedural rules R9–R12 (whole-program
 // mode), plus project-mode behaviors the per-file tests cannot cover:
-// suppressions against project findings, per-file rules riding along, the
-// SARIF relatedLocations chain, and the summary cache.
+// suppressions against project findings, per-file rules riding along, and
+// the SARIF relatedLocations chain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -191,43 +190,6 @@ TEST(ProjectMode, CrossFileChainLinksTranslationUnits) {
   EXPECT_EQ(report.files[1].findings[0].rule, "R12");
   ASSERT_EQ(report.files[1].findings[0].related.size(), 1u);
   EXPECT_EQ(report.files[1].findings[0].related[0].path, "threads.cc");
-}
-
-TEST(ProjectMode, SummaryCacheHitsOnSecondRunAndReportsMatch) {
-  const auto cache_dir =
-      std::filesystem::path(::testing::TempDir()) / "forklint_cache_test";
-  std::filesystem::remove_all(cache_dir);
-
-  ProjectAnalyzer project;
-  ASSERT_TRUE(project.EnableOnly({"R9", "R10", "R11", "R12"}).ok());
-  project.set_cache_dir(cache_dir.string());
-
-  const std::vector<std::string> paths = {FixturePath("r9_positive.cc"),
-                                          FixturePath("r10_positive.cc"),
-                                          FixturePath("r12_positive.cc")};
-  auto first = project.AnalyzeFiles(paths);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->cache_hits, 0u);
-  EXPECT_EQ(first->cache_misses, paths.size());
-
-  auto second = project.AnalyzeFiles(paths);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->cache_hits, paths.size());
-  EXPECT_EQ(second->cache_misses, 0u);
-
-  ASSERT_EQ(first->files.size(), second->files.size());
-  for (size_t i = 0; i < first->files.size(); ++i) {
-    const auto& a = first->files[i];
-    const auto& b = second->files[i];
-    ASSERT_EQ(a.findings.size(), b.findings.size()) << a.path;
-    for (size_t j = 0; j < a.findings.size(); ++j) {
-      EXPECT_EQ(a.findings[j].rule, b.findings[j].rule);
-      EXPECT_EQ(a.findings[j].line, b.findings[j].line);
-      EXPECT_EQ(a.findings[j].message, b.findings[j].message);
-      EXPECT_EQ(a.findings[j].related.size(), b.findings[j].related.size());
-    }
-  }
-  std::filesystem::remove_all(cache_dir);
 }
 
 }  // namespace

@@ -287,6 +287,76 @@ struct ClearFaultPlanOnExit {
   ~ClearFaultPlanOnExit() { fault::ClearPlan(); }
 };
 
+// Polls the zygote's children list until it is empty — a zombie is still
+// listed, so empty means every child was reaped — and returns what is left
+// after ~5 s ("" when none).
+std::string AwaitNoChildren(pid_t zygote) {
+  const std::string path =
+      "/proc/" + std::to_string(zygote) + "/task/" + std::to_string(zygote) + "/children";
+  std::string left;
+  for (int i = 0; i < 500; ++i) {
+    std::ifstream in(path);
+    if (!in.good()) {
+      return "unreadable " + path;
+    }
+    left.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    if (left.find_first_not_of(" \n") == std::string::npos) {
+      return "";
+    }
+    ::usleep(10 * 1000);
+  }
+  return left;
+}
+
+// Adopts a second channel over `primary` and returns its client end, used
+// raw. Call before `primary` goes to a ForkServerClient, whose receiver
+// would take the ack.
+Result<UniqueFd> AdoptRawChannel(int primary) {
+  FORKLIFT_ASSIGN_OR_RETURN(SocketPair sp, MakeSocketPair());
+  FORKLIFT_RETURN_IF_ERROR(SendFrame(
+      primary, EncodeControl(MsgType::kNewChannel, FrameMeta{kForkServerProtocolV2, 1}),
+      {sp.second.get()}));
+  FrameBuffer fb;
+  Frame ack;
+  FORKLIFT_ASSIGN_OR_RETURN(bool got, RecvFrame(primary, &fb, &ack));
+  if (!got || fb.buffered() != 0) {
+    return LogicalError("no lone kNewChannelAck");
+  }
+  return std::move(sp.first);
+}
+
+// One spawn request and its reply on a raw channel.
+Result<pid_t> SpawnRaw(int sock, const Spawner& spawner) {
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnRequest req, spawner.BuildRequest());
+  std::vector<int> fds;
+  FORKLIFT_ASSIGN_OR_RETURN(std::string payload,
+                            EncodeSpawnRequest(req, &fds, FrameMeta{kForkServerProtocolV2, 2}));
+  FORKLIFT_RETURN_IF_ERROR(SendFrame(sock, payload, fds));
+  FrameBuffer fb;
+  Frame frame;
+  FORKLIFT_ASSIGN_OR_RETURN(bool got, RecvFrame(sock, &fb, &frame));
+  if (!got) {
+    return LogicalError("channel closed before the spawn reply");
+  }
+  FORKLIFT_ASSIGN_OR_RETURN(SpawnReply reply, DecodeSpawnReply(frame.payload));
+  if (!reply.ok) {
+    return LogicalError(reply.context);
+  }
+  return static_cast<pid_t>(reply.pid);
+}
+
+// Half-closes a raw channel and reads it to EOF. The zygote closes its end
+// only in CloseChannel, and handles nothing else meanwhile, so EOF proves the
+// close was processed before any later frame.
+void CloseRawChannel(UniqueFd sock) {
+  ASSERT_EQ(::shutdown(sock.get(), SHUT_WR), 0);
+  char buf[256];
+  ssize_t n;
+  while ((n = ::read(sock.get(), buf, sizeof(buf))) > 0) {
+  }
+  EXPECT_EQ(n, 0) << "read error instead of EOF";
+}
+
 // The zygote's one blocking path: a kWait for a child whose exit watch failed
 // to arm (its pidfd's epoll_ctl(ADD) fails inside the zygote) is answered by
 // a blocking reap. The wait must still get the exit status, exactly once, and
@@ -386,21 +456,9 @@ TEST(ForkServerProcessTest, BlockingWaitOnAClosedChannelStillReapsTheChild) {
   ASSERT_TRUE(handle.ok()) << handle.error().ToString();
   const pid_t zygote = handle->server_pid;
   {
-    auto sp = MakeSocketPair();
-    ASSERT_TRUE(sp.ok());
-    UniqueFd raw = std::move(sp->first);
-    {
-      FrameBuffer fb;
-      Frame ack;
-      ASSERT_TRUE(SendFrame(handle->client_sock.get(),
-                            EncodeControl(MsgType::kNewChannel, FrameMeta{kForkServerProtocolV2, 1}),
-                            {sp->second.get()})
-                      .ok());
-      auto got = RecvFrame(handle->client_sock.get(), &fb, &ack);
-      ASSERT_TRUE(got.ok() && *got);
-      ASSERT_EQ(fb.buffered(), 0u);
-      sp->second.Reset();
-    }
+    auto adopted = AdoptRawChannel(handle->client_sock.get());
+    ASSERT_TRUE(adopted.ok()) << adopted.error().ToString();
+    UniqueFd raw = std::move(*adopted);
     ASSERT_EQ(fault::InjectionsFired(), 0u) << "the second channel must have registered";
     ForkServerClient client(std::move(handle->client_sock));
 
@@ -430,19 +488,7 @@ TEST(ForkServerProcessTest, BlockingWaitOnAClosedChannelStillReapsTheChild) {
     raw.Reset();
     hold->write_end.Reset();  // `read` sees EOF and the child exits 7
 
-    const std::string children =
-        "/proc/" + std::to_string(zygote) + "/task/" + std::to_string(zygote) + "/children";
-    std::string left;
-    for (int i = 0; i < 500; ++i) {
-      std::ifstream in(children);
-      ASSERT_TRUE(in.good()) << children;
-      left.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-      if (left.find_first_not_of(" \n") == std::string::npos) {
-        break;
-      }
-      ::usleep(10 * 1000);
-    }
-    EXPECT_EQ(left.find_first_not_of(" \n"), std::string::npos) << "zygote children: " << left;
+    EXPECT_EQ(AwaitNoChildren(zygote), "");
 
     // The fallback retired the child; the first channel keeps serving.
     auto again = client.WaitRemote(*pid);
@@ -452,6 +498,99 @@ TEST(ForkServerProcessTest, BlockingWaitOnAClosedChannelStillReapsTheChild) {
     EXPECT_TRUE(client.Shutdown().ok());
   }
   EXPECT_TRUE(WaitForExit(zygote).ok());
+}
+
+// A zygote process with two channels: the primary behind a ForkServerClient,
+// and a raw secondary that spawns the children and is then closed.
+class TwoChannelZygoteTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto handle = StartForkServerProcess();
+    ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+    zygote_ = handle->server_pid;
+    auto adopted = AdoptRawChannel(handle->client_sock.get());
+    ASSERT_TRUE(adopted.ok()) << adopted.error().ToString();
+    secondary_ = std::move(*adopted);
+    client_ = std::make_unique<ForkServerClient>(std::move(handle->client_sock));
+  }
+
+  void TearDown() override {
+    if (client_ != nullptr) {
+      EXPECT_TRUE(client_->Shutdown().ok());
+    }
+    if (zygote_ > 0) {
+      EXPECT_TRUE(WaitForExit(zygote_).ok());
+    }
+  }
+
+  pid_t zygote_ = -1;
+  UniqueFd secondary_;
+  std::unique_ptr<ForkServerClient> client_;
+};
+
+// Nobody is left to collect the status of a reaped child whose channel
+// closed, so the zygote forgets it: a later wait finds no such child, as a
+// wait for a stranger that reused the pid must.
+TEST_F(TwoChannelZygoteTest, ClosedChannelForgetsItsReapedChild) {
+  auto pid = SpawnRaw(secondary_.get(), Spawner("/bin/true"));
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  ASSERT_EQ(AwaitNoChildren(zygote_), "");
+  CloseRawChannel(std::move(secondary_));
+  auto st = client_->WaitRemote(*pid);
+  ASSERT_FALSE(st.ok()) << "answered with " << st->ToString();
+  EXPECT_EQ(st.error().code(), ECHILD) << st.error().ToString();
+}
+
+// A child still running when its channel closes is forgotten once reaped.
+TEST_F(TwoChannelZygoteTest, ClosedChannelForgetsItsLiveChildAtReap) {
+  auto hold = MakePipe();
+  ASSERT_TRUE(hold.ok());
+  Spawner s("/bin/sh");
+  s.Args({"-c", "read line; exit 7"}).SetStdin(Stdio::Fd(hold->read_end.get()));
+  auto pid = SpawnRaw(secondary_.get(), s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  hold->read_end.Reset();
+  CloseRawChannel(std::move(secondary_));
+  hold->write_end.Reset();  // `read` sees EOF and the child exits 7
+  ASSERT_EQ(AwaitNoChildren(zygote_), "");
+  auto st = client_->WaitRemote(*pid);
+  ASSERT_FALSE(st.ok()) << "answered with " << st->ToString();
+  EXPECT_EQ(st.error().code(), ECHILD) << st.error().ToString();
+}
+
+// A wait parked from another channel is still answered after the spawning
+// channel closes.
+TEST_F(TwoChannelZygoteTest, WaitParkedFromAnotherChannelOutlivesTheSpawningChannel) {
+  auto hold = MakePipe();
+  ASSERT_TRUE(hold.ok());
+  Spawner s("/bin/sh");
+  s.Args({"-c", "read line; exit 7"}).SetStdin(Stdio::Fd(hold->read_end.get()));
+  auto pid = SpawnRaw(secondary_.get(), s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  hold->read_end.Reset();
+  auto wait = client_->WaitAsync(*pid);
+  ASSERT_TRUE(wait.ok());
+  // A channel's frames are handled in order: the pong means the wait parked.
+  ASSERT_TRUE(client_->Ping().ok());
+  CloseRawChannel(std::move(secondary_));
+  hold->write_end.Reset();
+  auto st = wait->AwaitExit();
+  ASSERT_TRUE(st.ok()) << st.error().ToString();
+  EXPECT_TRUE(st->exited);
+  EXPECT_EQ(st->exit_code, 7);
+}
+
+// Any channel may wait for any child while the spawning channel is open.
+TEST_F(TwoChannelZygoteTest, WaitFromAnotherOpenChannelGetsTheStatus) {
+  Spawner s("/bin/sh");
+  s.Args({"-c", "exit 5"});
+  auto pid = SpawnRaw(secondary_.get(), s);
+  ASSERT_TRUE(pid.ok()) << pid.error().ToString();
+  ASSERT_EQ(AwaitNoChildren(zygote_), "");
+  auto st = client_->WaitRemote(*pid);
+  ASSERT_TRUE(st.ok()) << st.error().ToString();
+  EXPECT_TRUE(st->exited);
+  EXPECT_EQ(st->exit_code, 5);
 }
 
 TEST(WorkerPoolTest, StartExecuteStop) {

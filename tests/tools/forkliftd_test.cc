@@ -1,15 +1,20 @@
 // End-to-end tests of the forkliftd daemon binary: real process, real AF_UNIX
 // socket, multiple concurrent clients.
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "src/common/clock.h"
 #include "src/forkserver/client.h"
 #include "src/obs/export.h"
+#include "src/spawn/command.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
@@ -202,6 +207,45 @@ TEST(ForkliftdShardsTest, SigtermWindsDownSupervisorAndShards) {
   EXPECT_FALSE(ForkServerClient::ConnectPath(socket_path).ok());
   struct stat sb;
   EXPECT_EQ(::stat(socket_path.c_str(), &sb), -1) << "socket file left behind";
+}
+
+// The children of every thread of this process, as /proc lists them.
+std::string OurChildren() {
+  std::string all;
+  DIR* tasks = ::opendir("/proc/self/task");
+  if (tasks == nullptr) {
+    return "unreadable /proc/self/task";
+  }
+  while (const dirent* e = ::readdir(tasks)) {
+    std::ifstream in(std::string("/proc/self/task/") + e->d_name + "/children");
+    all.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ::closedir(tasks);
+  return all;
+}
+
+// A shard count that is not a plain non-negative number is refused with
+// exit 2 before anything is bound or forked: "-1" must not read as ULONG_MAX
+// shards (forked until fork fails), nor "" as 0 (one per CPU). The socket's
+// directory does not exist, so a build that accepted the value would exit 1
+// at bind instead of forking. As a subreaper, this process adopts anything
+// the daemon leaves behind.
+TEST(ForkliftdShardsTest, MalformedShardCountExitsTwoAndLeavesNoChild) {
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const std::string socket_path = ::testing::TempDir() + "forkliftd_no_such_dir_" +
+                                  std::to_string(::getpid()) + "/forkliftd.sock";
+  const std::string before = OurChildren();
+  for (const char* value : {"-1", "", "2x"}) {
+    RunOptions opts;
+    opts.timeout_seconds = 10;
+    auto run = RunAndCapture(FORKLIFTD_BIN, {"--socket", socket_path, "--shards", value}, opts);
+    ASSERT_TRUE(run.ok()) << run.error().ToString();
+    EXPECT_TRUE(run->status.exited);
+    EXPECT_EQ(run->status.exit_code, 2) << "--shards '" << value << "': " << run->stderr_data;
+    EXPECT_NE(run->stderr_data.find("--shards"), std::string::npos) << run->stderr_data;
+    EXPECT_EQ(OurChildren(), before) << "--shards '" << value << "' left a child";
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
 }
 
 TEST(ForkliftdMetricsTest, MetricsSocketServesBothFormatsAndCountsSpawns) {

@@ -22,12 +22,12 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/common/string_util.h"
 #include "src/forkserver/server.h"
 #include "src/obs/export.h"
 #include "src/obs/registry.h"
@@ -164,13 +164,13 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--daemon") {
       daemonize = true;
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(args[++i].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "forkliftd: --shards expects a number, got '%s'\n", args[i].c_str());
+      size_t n = 0;
+      if (!ParseNumber(args[++i], &n)) {
+        std::fprintf(stderr, "forkliftd: --shards expects a shard count, got '%s'\n",
+                     args[i].c_str());
         return 2;
       }
-      shards = n > 0 ? static_cast<size_t>(n)
+      shards = n > 0 ? n
                      : (::sysconf(_SC_NPROCESSORS_ONLN) > 0
                             ? static_cast<size_t>(::sysconf(_SC_NPROCESSORS_ONLN))
                             : 1);
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
 
   ReadyNotifier ready;
   if (daemonize) {
-    auto notifier = Daemonize(DaemonizeOptions{});
+    auto notifier = Daemonize();
     if (!notifier.ok()) {
       std::fprintf(stderr, "forkliftd: %s\n", notifier.error().ToString().c_str());
       return 1;

@@ -12,8 +12,6 @@
 //   --project             whole-program mode: link all inputs into one call
 //                         graph and run the interprocedural rules (R9–R12)
 //                         on top of the per-file ones
-//   --cache-dir=DIR       (with --project) cache per-file summaries keyed by
-//                         file content hash; unchanged files are not re-lexed
 //   --baseline=FILE       accept findings listed in FILE ("RULE path" lines);
 //                         only findings NOT in the baseline count as failures
 //   --update-baseline     rewrite the --baseline file from the current
@@ -148,8 +146,7 @@ bool WriteBaseline(const std::string& path, const std::vector<FileReport>& repor
 int Usage() {
   std::fprintf(stderr,
                "usage: forklint [--rules=R1,...] [--format=text|json|sarif] [--project] "
-               "[--cache-dir=DIR] [--baseline=FILE] [--update-baseline] [--list-rules] "
-               "<file-or-dir>...\n");
+               "[--baseline=FILE] [--update-baseline] [--list-rules] <file-or-dir>...\n");
   return 255;
 }
 
@@ -160,7 +157,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> rule_filter;
   std::string format = "text";
   std::string baseline_path;
-  std::string cache_dir;
   bool list_rules = false;
   bool project_mode = false;
   bool update_baseline = false;
@@ -181,8 +177,6 @@ int main(int argc, char** argv) {
       }
     } else if (forklift::StartsWith(arg, "--baseline=")) {
       baseline_path = arg.substr(11);
-    } else if (forklift::StartsWith(arg, "--cache-dir=")) {
-      cache_dir = arg.substr(12);
     } else if (arg == "--project") {
       project_mode = true;
     } else if (arg == "--update-baseline") {
@@ -219,7 +213,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "forklint: %s\n", st.ToString().c_str());
     return 255;
   }
-  project.set_cache_dir(cache_dir);
 
   bool io_error = false;
   const std::vector<std::string> files = CollectFiles(paths, &io_error);
