@@ -18,7 +18,7 @@
 //   cd DIR, exit [N], backend [NAME], help    builtins
 //
 // `backend` picks the SpawnService route every subsequent command launches
-// through: forkexec | vfork | spawn | clone3 run in-process; forkserver and
+// through: forkexec | vfork | spawn | clone_vm run in-process; forkserver and
 // sharded route the spawn to a zygote — the pipeline's fds ride along over
 // SCM_RIGHTS, and the shell holds the same ProcessHandle either way.
 #include <unistd.h>
@@ -246,12 +246,12 @@ class MiniShell {
           route_ = "local:vfork";
         } else if (want == "spawn" || want == "posix_spawn") {
           route_ = "local:posix_spawn";
-        } else if (want == "clone3") {
-          route_ = "local:clone3";
+        } else if (want == "clone_vm") {
+          route_ = "local:clone_vm";
         } else if (want == "forkserver" || want == "sharded") {
           route_ = want;
         } else {
-          std::fprintf(stderr, "backend: forkexec | vfork | spawn | clone3 | "
+          std::fprintf(stderr, "backend: forkexec | vfork | spawn | clone_vm | "
                                "forkserver | sharded\n");
         }
       }
@@ -260,7 +260,7 @@ class MiniShell {
     }
     if (name == "help") {
       std::printf("builtins: cd DIR, exit [N], backend "
-                  "[forkexec|vfork|spawn|clone3|forkserver|sharded], help\n"
+                  "[forkexec|vfork|spawn|clone_vm|forkserver|sharded], help\n"
                   "syntax:   cmd a | cmd2 b, < file, > file, >> file, VAR=v cmd\n");
       return true;
     }

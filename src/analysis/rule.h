@@ -35,7 +35,7 @@ struct Finding {
   std::string path;
   int line = 0;
   std::string message;
-  std::vector<RelatedLocation> related;
+  std::vector<RelatedLocation> related{};
 };
 
 // A fork()/vfork() call site with whatever surrounding structure the analyzer

@@ -1,16 +1,12 @@
 #include "src/common/reactor.h"
 
 #include <sys/epoll.h>
+#include <sys/syscall.h>
 #include <sys/timerfd.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/syscall.h>
-#endif
-
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <utility>
 #include <vector>
@@ -22,33 +18,30 @@ namespace forklift {
 
 namespace {
 
-std::atomic<bool> g_force_pidfd_fallback{false};
-
-}  // namespace
-
+// pidfd_open(2): close-on-exec by construction, so safe to hold across
+// spawns. Linux >= 5.3; the tree needs 5.9 (close_range) anyway.
 int PidfdOpen(pid_t pid) {
-  if (g_force_pidfd_fallback.load(std::memory_order_relaxed)) {
-    errno = ENOSYS;
-    return -1;
-  }
   auto inj = fault::Check("reactor.pidfd_open", fault::Op::kPidfdOpen);
   if (inj.is_errno()) {
     errno = inj.err;
     return -1;
   }
-#if defined(__linux__) && defined(SYS_pidfd_open)
-  // Close-on-exec by construction (pidfd_open(2)): safe to hold across spawns.
   return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
-#else
-  (void)pid;
-  errno = ENOSYS;
-  return -1;
-#endif
 }
 
-void TestOnlyForcePidfdFallback(bool force) {
-  g_force_pidfd_fallback.store(force, std::memory_order_relaxed);
+// Non-reaping liveness probe. True when the child is waitable (or not ours to
+// wait for — ECHILD: a zygote's child, or one someone else reaped).
+bool ChildIsWaitable(pid_t pid) {
+  siginfo_t si;
+  si.si_pid = 0;
+  int rc = ::waitid(P_PID, static_cast<id_t>(pid), &si, WEXITED | WNOHANG | WNOWAIT);
+  if (rc < 0) {
+    return errno == ECHILD;
+  }
+  return si.si_pid == pid;
 }
+
+}  // namespace
 
 Result<Reactor> Reactor::Create() {
   Reactor reactor;
@@ -276,11 +269,9 @@ struct ChildWatch::State {
   int pidfd = -1;  // borrowed from the owning ChildWatch, for self-removal
   std::function<void()> on_exit;
   bool fired = false;
-  uint64_t poll_interval_ns = 50'000;  // fallback: 50us, doubling to 5ms
-  Reactor::TimerId timer_id = 0;
+  Reactor::TimerId timer_id = 0;  // the zero-delay fire for a pid already gone
 
   static void Fire(const std::shared_ptr<State>& state);
-  static void ArmFallbackTimer(const std::shared_ptr<State>& state);
 };
 
 // Consumes the watch: fires on_exit exactly once and drops the closure so a
@@ -297,39 +288,6 @@ void ChildWatch::State::Fire(const std::shared_ptr<State>& state) {
   }
 }
 
-namespace {
-
-// Non-reaping liveness probe. True when the child is waitable (or already
-// gone — ECHILD means someone else reaped it, which for a watch is "exited").
-bool ChildIsWaitable(pid_t pid) {
-  siginfo_t si;
-  si.si_pid = 0;
-  int rc = ::waitid(P_PID, static_cast<id_t>(pid), &si, WEXITED | WNOHANG | WNOWAIT);
-  if (rc < 0) {
-    return errno == ECHILD;
-  }
-  return si.si_pid == pid;
-}
-
-}  // namespace
-
-void ChildWatch::State::ArmFallbackTimer(const std::shared_ptr<State>& state) {
-  Reactor* reactor = state->reactor;
-  state->timer_id =
-      reactor->AddTimerAt(MonotonicNanos() + state->poll_interval_ns, [state] {
-        state->timer_id = 0;
-        if (state->fired || !state->on_exit) {
-          return;
-        }
-        if (ChildIsWaitable(state->pid)) {
-          Fire(state);
-          return;
-        }
-        state->poll_interval_ns = std::min<uint64_t>(state->poll_interval_ns * 2, 5'000'000);
-        ArmFallbackTimer(state);
-      });
-}
-
 Result<ChildWatch> ChildWatch::Arm(Reactor& reactor, pid_t pid,
                                    std::function<void()> on_exit) {
   if (pid <= 0) {
@@ -341,33 +299,36 @@ Result<ChildWatch> ChildWatch::Arm(Reactor& reactor, pid_t pid,
   watch.state_->reactor = &reactor;
   watch.state_->pid = pid;
   watch.state_->on_exit = std::move(on_exit);
+  std::shared_ptr<State> state = watch.state_;
 
   int pidfd = PidfdOpen(pid);
-  if (pidfd >= 0) {
-    watch.pidfd_.Reset(pidfd);
-    watch.state_->pidfd = pidfd;
-    std::shared_ptr<State> state = watch.state_;
-    Status added = reactor.AddFd(pidfd, EPOLLIN, [state](uint32_t) {
-      if (state->fired) {
-        return;
-      }
-      // Re-validate before firing: an event harvested in this epoll batch can
-      // be stale if another callback closed an fd whose number was reused for
-      // this pidfd. A real pidfd EPOLLIN implies the child is waitable.
-      if (!ChildIsWaitable(state->pid)) {
-        return;
-      }
-      (void)state->reactor->RemoveFd(state->pidfd);
+  if (pidfd < 0) {
+    if (errno != ESRCH) {
+      return ErrnoError("pidfd_open");
+    }
+    // Already gone: a remote child its zygote reaped before this watch was
+    // armed. Its exit has happened, so fire on the next PollOnce.
+    state->timer_id = reactor.AddTimerAt(0, [state] {
+      state->timer_id = 0;
       State::Fire(state);
     });
-    if (!added.ok()) {
-      return Err(added.error());
-    }
     return watch;
   }
-  // pidfd_open unavailable (pre-5.3 kernel, seccomp, ESRCH race): poll the
-  // pid through reactor timers instead, same escalation as the legacy loop.
-  State::ArmFallbackTimer(watch.state_);
+  watch.pidfd_.Reset(pidfd);
+  state->pidfd = pidfd;
+  FORKLIFT_RETURN_IF_ERROR(reactor.AddFd(pidfd, EPOLLIN, [state](uint32_t) {
+    if (state->fired) {
+      return;
+    }
+    // Re-validate before firing: an event harvested in this epoll batch can
+    // be stale if another callback closed an fd whose number was reused for
+    // this pidfd. A real pidfd EPOLLIN implies the child is waitable.
+    if (!ChildIsWaitable(state->pid)) {
+      return;
+    }
+    (void)state->reactor->RemoveFd(state->pidfd);
+    State::Fire(state);
+  }));
   return watch;
 }
 

@@ -10,11 +10,9 @@
 // inside PollOnce and no locking is needed.
 //
 // ChildWatch is the lifecycle primitive built on top: it arms a one-shot
-// "this pid became waitable" callback through pidfd_open(2) (Linux ≥ 5.3).
-// Where pidfd_open is unavailable (old kernel, seccomp filter), it degrades
-// to reactor-timer polling with the same 50µs→5ms escalation the old code
-// used — but driven by timerfd through the same epoll set, so callers are
-// written once against one API and never sleep-poll themselves.
+// "this pid became waitable" callback on a pidfd_open(2) descriptor. The pidfd
+// is the only exit signal: a watch that cannot open or register one fails to
+// arm, and its caller must not keep a child it cannot watch.
 #ifndef SRC_COMMON_REACTOR_H_
 #define SRC_COMMON_REACTOR_H_
 
@@ -98,12 +96,16 @@ class Reactor {
 // Arms a one-shot notification for "pid is waitable" through a Reactor. Fires
 // `on_exit` exactly once, then disarms itself; it never reaps — the owner of
 // the pid calls waitpid/TryWait afterwards, preserving whatever wait
-// discipline the caller already has.
+// discipline the caller already has. The pid need not be our child: a
+// zygote's child is watched from its client the same way.
 //
 // The watch must not outlive the reactor it is armed on.
 class ChildWatch {
  public:
   ChildWatch() = default;
+  // Fails with the error of pidfd_open(2) or epoll_ctl(2). A pid that is
+  // already gone (ESRCH: its parent reaped it before the watch was armed)
+  // fires on the next PollOnce.
   static Result<ChildWatch> Arm(Reactor& reactor, pid_t pid, std::function<void()> on_exit);
 
   ChildWatch(const ChildWatch&) = delete;
@@ -117,8 +119,6 @@ class ChildWatch {
   void Disarm();
 
   bool armed() const;
-  // True when this watch rides a pidfd; false on the timer-poll fallback.
-  bool using_pidfd() const { return pidfd_.valid(); }
 
  private:
   struct State;
@@ -127,15 +127,6 @@ class ChildWatch {
   UniqueFd pidfd_;
   std::shared_ptr<State> state_;
 };
-
-// pidfd_open(2) if the kernel provides it (Linux ≥ 5.3); -1/errno otherwise.
-// Exposed so callers can probe capability once instead of per-spawn.
-int PidfdOpen(pid_t pid);
-
-// Forces every subsequent ChildWatch::Arm onto the timer-poll fallback, as if
-// pidfd_open returned ENOSYS. Test-only; not thread-safe against concurrent
-// Arm calls.
-void TestOnlyForcePidfdFallback(bool force);
 
 }  // namespace forklift
 

@@ -51,15 +51,18 @@ Status ShellWorkerPool::Start(const Options& opts) {
     workers_.push_back(std::move(w));
   }
   // Arm the watches only once workers_ has its final size: the callbacks
-  // index into the vector, so no reallocation may follow.
+  // index into the vector, so no reallocation may follow. A worker that
+  // cannot be watched fails the start: its death would go unnoticed.
   for (size_t i = 0; i < workers_.size(); ++i) {
     auto watch = ChildWatch::Arm(*reactor_, workers_[i].child.pid(), [this, i] {
       workers_[i].healthy = false;
       (void)workers_[i].child.TryWait();
     });
-    if (watch.ok()) {
-      workers_[i].watch = std::move(*watch);
+    if (!watch.ok()) {
+      (void)Stop();
+      return Err(watch.error());
     }
+    workers_[i].watch = std::move(*watch);
   }
   started_ = true;
   return Status::Ok();

@@ -32,7 +32,8 @@ class ShellWorkerPool {
   ShellWorkerPool(const ShellWorkerPool&) = delete;
   ShellWorkerPool& operator=(const ShellWorkerPool&) = delete;
 
-  // Spawns the workers. Must be called once before Execute.
+  // Spawns the workers. Must be called once before Execute. Fails, with every
+  // worker stopped, when a worker cannot be spawned or its exit watched.
   Status Start(const Options& opts);
 
   // Runs one shell command on a warm worker (round-robin) and returns its

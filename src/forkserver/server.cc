@@ -66,6 +66,15 @@ Result<UniqueFd> BindUnixListener(const std::string& path) {
   return listener;
 }
 
+// The reply to a spawn that launched nothing.
+SpawnReply FailedSpawn(const Error& error) {
+  SpawnReply reply;
+  reply.ok = false;
+  reply.err = error.code();
+  reply.context = error.ToString();
+  return reply;
+}
+
 // Replies per coalesced burst write: the only batching on the wire.
 obs::Histogram& FramesPerFlush() {
   static obs::Histogram h =
@@ -275,15 +284,21 @@ void ForkServer::OnChildExit(pid_t pid) {
   Child& child = it->second;
   child.watch.Disarm();  // fired: release its pidfd now
   int raw = 0;
-  if (::waitpid(pid, &raw, WNOHANG) != pid) {
-    return;  // left to HandleWait's blocking fallback
-  }
+  const pid_t reaped = ::waitpid(pid, &raw, WNOHANG);
   WaitReply reply;
-  reply.ok = true;
-  reply.status = DecodeWaitStatus(raw);
-  if (child.waits.empty() && child.channel >= 0) {
-    child.status = reply.status;
-    return;
+  reply.ok = reaped == pid;
+  if (reply.ok) {
+    reply.status = DecodeWaitStatus(raw);
+    if (child.waits.empty() && child.channel >= 0) {
+      child.status = reply.status;
+      return;
+    }
+  } else {
+    // The watch fired, so the child was waitable: only an error leaves it
+    // unreaped (ECHILD when something else reaped it), and its status is lost.
+    const Error error(reaped < 0 ? errno : ECHILD, "forkserver: waitpid");
+    reply.err = error.code();
+    reply.context = error.ToString();
   }
   // Erase before answering: a failed flush closes that waiter's channel, and
   // CloseChannel walks the table.
@@ -461,52 +476,41 @@ Result<std::vector<UniqueFd>> ForkServer::RelocateFds(std::vector<UniqueFd> fds)
 }
 
 SpawnReply ForkServer::LaunchDecoded(int sock, const SpawnRequest& req) {
-  SpawnReply reply;
   // The zygote's only engine: nothing of the zygote is copied (server.h).
-  auto pid = Clone3Backend().Launch(req);
+  auto pid = CloneVmBackend().Launch(req);
   if (!pid.ok()) {
-    reply.ok = false;
-    reply.err = pid.error().code();
-    reply.context = pid.error().ToString();
-  } else {
-    reply.ok = true;
-    reply.pid = static_cast<int32_t>(*pid);
-    // Assign, never emplace: a record already under this pid can only be a
-    // reaped child nobody waited for (a live or zombie child holds its pid),
-    // and its status must not answer for this one. A watch that fails to arm
-    // leaves the child to HandleWait's blocking fallback.
-    Child& child = children_[*pid] = Child{};
-    child.channel = sock;
-    auto watch = ChildWatch::Arm(*reactor_, *pid, [this, p = *pid] { OnChildExit(p); });
-    if (watch.ok()) {
-      child.watch = std::move(*watch);
-    }
-    ++spawns_handled_;
-    // Server-side view in the shared arena: with shards forked after the
-    // registry arena exists, every shard's spawns land in one counter.
-    obs::MetricsRegistry::Global().GetCounter("forklift_forkserver_spawns_total").Increment();
+    return FailedSpawn(pid.error());
   }
+  auto watch = ChildWatch::Arm(*reactor_, *pid, [this, p = *pid] { OnChildExit(p); });
+  if (!watch.ok()) {
+    // Nothing would wake the reactor on this child's exit, so nothing would
+    // reap it or answer its waits: kill and reap it now, and fail the spawn.
+    (void)::kill(*pid, SIGKILL);
+    (void)WaitForExit(*pid);
+    return FailedSpawn(watch.error());
+  }
+  // Assign, never emplace: a record already under this pid can only be a
+  // reaped child nobody waited for (a live or zombie child holds its pid),
+  // and its status must not answer for this one.
+  children_[*pid] = Child{sock, std::move(*watch), std::nullopt, {}};
+  ++spawns_handled_;
+  // Server-side view in the shared arena: with shards forked after the
+  // registry arena exists, every shard's spawns land in one counter.
+  obs::MetricsRegistry::Global().GetCounter("forklift_forkserver_spawns_total").Increment();
+  SpawnReply reply;
+  reply.ok = true;
+  reply.pid = static_cast<int32_t>(*pid);
   return reply;
 }
 
 Status ForkServer::HandleSpawn(int sock, const std::string& payload,
                                std::vector<UniqueFd> fds, const FrameMeta& reply_meta) {
   auto high_fds = RelocateFds(std::move(fds));
-  if (!high_fds.ok()) {
-    SpawnReply reply;
-    reply.ok = false;
-    reply.err = high_fds.error().code();
-    reply.context = high_fds.error().ToString();
-    QueueReply(sock, EncodeSpawnReply(reply, reply_meta));
-    return Status::Ok();
-  }
-
-  auto req = DecodeSpawnRequest(payload, *high_fds);
   SpawnReply reply;
-  if (!req.ok()) {
-    reply.ok = false;
-    reply.err = req.error().code();
-    reply.context = req.error().ToString();
+  if (!high_fds.ok()) {
+    reply = FailedSpawn(high_fds.error());
+  } else if (auto req = DecodeSpawnRequest(payload, *high_fds); !req.ok()) {
+    reply = FailedSpawn(req.error());
   } else {
     reply = LaunchDecoded(sock, *req);
   }
@@ -559,33 +563,11 @@ Status ForkServer::HandleWait(int sock, const std::string& payload, const FrameM
     reply.ok = true;
     reply.status = *it->second.status;
     children_.erase(it);
-  } else if (it->second.watch.armed()) {
+  } else {
     // Not yet exited: park the wait on the child's record and keep the
     // channel moving. OnChildExit sends the reply when the pidfd fires.
     it->second.waits.push_back(ParkedWait{sock, reply_meta});
     return Status::Ok();
-  } else {
-    // The child's exit watch failed to arm, so nothing will wake the
-    // reactor on its exit (and no wait can be parked on it): reap it here
-    // with a blocking wait. This stalls every channel until the child
-    // exits. Flush anything already queued on this channel first: a
-    // coalesced burst's earlier replies must not sit unsent behind a
-    // potentially unbounded child lifetime. A peer that cannot take them
-    // is gone: close its channel, but still reap the child so it does not
-    // linger as a zombie (QueueReply drops the reply for the closed channel).
-    if (Status flushed = FlushReplies(sock); !flushed.ok()) {
-      CloseAfterFlush(sock, flushed);
-    }
-    auto st = WaitForExit(*pid);
-    if (!st.ok()) {
-      reply.ok = false;
-      reply.err = st.error().code();
-      reply.context = st.error().ToString();
-    } else {
-      reply.ok = true;
-      reply.status = *st;
-      children_.erase(*pid);
-    }
   }
   QueueReply(sock, EncodeWaitReply(reply, reply_meta));
   return Status::Ok();

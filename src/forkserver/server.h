@@ -2,7 +2,7 @@
 //
 // A ForkServer serves one or more AF_UNIX stream channels: it decodes spawn
 // requests, launches them, supervises the children, and answers wait
-// requests. The launch engine is clone(CLONE_VM|CLONE_VFORK) (Clone3Backend),
+// requests. The launch engine is clone(CLONE_VM|CLONE_VFORK) (CloneVmBackend),
 // not fork: the child borrows the zygote's address space until it execs, so
 // no page table is copied and a spawn costs the same however large the
 // zygote has grown (the paper's Fig. 1 flat line; §6's zygote pattern
@@ -24,18 +24,17 @@
 // children's records with it; its live ones go at reap unless another
 // channel has a wait parked on them.
 //
-// Replies are answered out of order: a kWait for a child that has not yet
-// exited parks on its record and is answered when the exit is observed, so
-// it never blocks the channel. The one blocking path left is the fallback
-// for a child whose exit watch failed to arm: with nothing to wake the
-// reactor on its exit, the kWait reaps it with a blocking waitpid, stalling
-// every channel until the child exits. Each wakeup drains a channel's whole
-// burst and answers it in one coalesced write (the only batching on the
-// wire: clients write one frame per request). A peer that hangs up
-// mid-frame, sends a hostile length prefix, or leaves before its replies are
-// written loses only its own channel. A peer that keeps sending but never
-// reads its replies is not contained: once its socket buffer fills, the
-// reply flush blocks the reactor, and with it every channel.
+// Every child has an exit watch: a child whose pidfd cannot be opened or
+// registered is killed and reaped at once, and its spawn is answered with
+// that error (no record, not counted as a spawn). So a kWait never blocks:
+// for a child that has not yet exited it parks on the record and is
+// answered out of order when the exit is observed. Each wakeup drains a
+// channel's whole burst and answers it in one coalesced write (the only
+// batching on the wire: clients write one frame per request). A peer that
+// hangs up mid-frame, sends a hostile length prefix, or leaves before its
+// replies are written loses only its own channel. A peer that keeps sending
+// but never reads its replies is not contained: once its socket buffer
+// fills, the reply flush blocks the reactor, and with it every channel.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
 
@@ -135,10 +134,13 @@ class ForkServer {
   // (faultinject site `forkserver.relocate_fd`); errno error on failure.
   Result<std::vector<UniqueFd>> RelocateFds(std::vector<UniqueFd> fds);
   // The launch half of a spawn once the request is decoded: clone_vm+exec,
-  // the child's record and exit watch, counters, reply construction.
+  // the child's exit watch and record, counters, reply construction. A child
+  // whose watch cannot be armed is killed and reaped, and the reply carries
+  // the watch's error.
   SpawnReply LaunchDecoded(int sock, const SpawnRequest& req);
   // The exit watch of `pid` fired: reaps it, then keeps the status for a
-  // later kWait or answers the waits parked on it.
+  // later kWait or answers the waits parked on it (with waitpid's error if
+  // the reap fails, which forgets the child).
   void OnChildExit(pid_t pid);
   // Appends one framed reply to `sock`'s coalescing buffer (dropped when the
   // channel is already closed).

@@ -107,16 +107,21 @@ std::unique_ptr<ForkServerTransport> ForkServerTransport::Adopt(
 
 ForkServerTransport::~ForkServerTransport() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (channel_ != nullptr && !channel_->dead() && mode_ == Mode::kStartProcess) {
-    (void)channel_->Shutdown();
-  }
-  channel_.reset();  // EOF makes a still-alive server exit even if Shutdown failed
-  ReapServerLocked();
+  const bool shut_down = mode_ == Mode::kStartProcess && channel_ != nullptr &&
+                         !channel_->dead() && channel_->Shutdown().ok();
+  channel_.reset();
+  ReapServerLocked(/*kill=*/!shut_down);
 }
 
-void ForkServerTransport::ReapServerLocked() {
+void ForkServerTransport::ReapServerLocked(bool kill) {
   if (server_pid_ <= 0) {
     return;
+  }
+  // A server that did not acknowledge kShutdown may never see EOF either: a
+  // handle from its dead channel still holds the socket open. Kill it before
+  // the blocking reap, as ShardedForkServer::ReapShardLocked does.
+  if (kill) {
+    (void)::kill(server_pid_, SIGKILL);
   }
   int wstatus = 0;
   while (waitpid(server_pid_, &wstatus, 0) < 0 && errno == EINTR) {
@@ -143,8 +148,8 @@ Result<std::shared_ptr<ForkServerClient>> ForkServerTransport::EnsureChannel() {
       return channel_;
     }
     case Mode::kStartProcess: {
-      channel_.reset();  // drop our end first so a half-dead server sees EOF
-      ReapServerLocked();
+      channel_.reset();
+      ReapServerLocked(/*kill=*/true);  // its channel is dead or was never opened
       // Forking under mu_ is safe by construction: the server child never
       // touches transport state — it close-ranges every inherited fd and
       // serves its own socketpair end.

@@ -77,8 +77,9 @@ class ForkServerTransport final : public SpawnTransport {
   // returned shared_ptr keeps the channel alive outside the lock.
   Result<std::shared_ptr<ForkServerClient>> EnsureChannel();
   void DropChannelIfDead();
-  // Reaps a kStartProcess server whose channel is gone (mu_ held).
-  void ReapServerLocked();
+  // Reaps a kStartProcess server whose channel is gone, SIGKILLing it first
+  // when `kill` (mu_ held).
+  void ReapServerLocked(bool kill);
 
   Mode mode_;
   std::string socket_path_;

@@ -77,7 +77,7 @@ class SpawnBackend {
 SpawnBackend& ForkExecBackend();
 SpawnBackend& VforkBackend();
 SpawnBackend& PosixSpawnBackend();
-SpawnBackend& Clone3Backend();  // clone(CLONE_VM|CLONE_VFORK); vfork fallback off-Linux
+SpawnBackend& CloneVmBackend();  // clone(CLONE_VM|CLONE_VFORK); vfork fallback off-Linux
 
 }  // namespace forklift
 

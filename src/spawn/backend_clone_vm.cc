@@ -63,7 +63,7 @@ pid_t StartCloneVm(const internal::ChildExecArgs& args) {
                  const_cast<internal::ChildExecArgs*>(&args));
 }
 
-class Clone3Engine : public SpawnBackend {
+class CloneVmEngine : public SpawnBackend {
  public:
   Result<pid_t> Launch(const SpawnRequest& req) override {
     return internal::LaunchForked(req, "clone(CLONE_VM|CLONE_VFORK)", StartCloneVm);
@@ -76,9 +76,9 @@ class Clone3Engine : public SpawnBackend {
 
 }  // namespace
 
-SpawnBackend& Clone3Backend() {
+SpawnBackend& CloneVmBackend() {
 #if FORKLIFT_CLONE_VM
-  static Clone3Engine engine;
+  static CloneVmEngine engine;
   return engine;
 #else
   return VforkBackend();  // closest semantics (off Linux, or under TSan)

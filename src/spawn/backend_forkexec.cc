@@ -59,7 +59,7 @@ const char* LocalRouteName(SpawnBackendKind kind) {
     case SpawnBackendKind::kPosixSpawn:
       return "local:posix_spawn";
     case SpawnBackendKind::kCloneVm:
-      return "local:clone3";
+      return "local:clone_vm";
   }
   return "local:?";
 }

@@ -19,7 +19,7 @@ namespace forklift {
 namespace {
 
 // The local mechanism: this process is the parent, so a wait is waitpid and
-// a deadline wait parks a pidfd (or its timer-poll fallback) in a reactor.
+// a deadline wait parks a pidfd in a reactor.
 // The handle caches the first reap, so each wait here runs at most once
 // successfully.
 class LocalProcessImpl final : public ProcessHandle::Impl {
@@ -64,8 +64,8 @@ class LocalProcessImpl final : public ProcessHandle::Impl {
     if (st.has_value()) {
       return st;
     }
-    // Park in a reactor until the pidfd (or its poll-fallback) reports the
-    // exit or the deadline timer fires — no sleep loop in either mode.
+    // Park in a reactor until the pidfd reports the exit or the deadline
+    // timer fires — no sleep loop.
     FORKLIFT_ASSIGN_OR_RETURN(Reactor reactor, Reactor::Create());
     bool exited = false;
     bool expired = false;

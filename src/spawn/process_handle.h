@@ -55,11 +55,11 @@ class ProcessHandle {
   ProcessHandle& operator=(ProcessHandle&&) noexcept = default;
 
   // Adopts a child this process just launched (Spawner::Spawn). Waits are
-  // waitpid, deadline waits park on a pidfd (timer-poll fallback on pre-5.3
-  // kernels), and the first reap stamps `timeline`'s exit-observed phase into
-  // SpawnMetrics. Dropping the handle unreaped logs a warning and leaves the
-  // zombie: a dropped handle must not turn into a silent SIGKILL. `route`
-  // names the local engine (LocalRouteName).
+  // waitpid, deadline waits park on a pidfd (and fail with pidfd_open's
+  // error where a policy denies it), and the first reap stamps `timeline`'s
+  // exit-observed phase into SpawnMetrics. Dropping the handle unreaped logs
+  // a warning and leaves the zombie: a dropped handle must not turn into a
+  // silent SIGKILL. `route` names the local engine (LocalRouteName).
   static ProcessHandle FromLocalSpawn(pid_t pid, SpawnTimeline timeline, std::string route);
 
   // Wraps any mechanism. `route` names the transport that produced the

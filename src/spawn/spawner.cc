@@ -204,7 +204,7 @@ SpawnBackend& BackendFor(SpawnBackendKind kind) {
     case SpawnBackendKind::kPosixSpawn:
       return PosixSpawnBackend();
     case SpawnBackendKind::kCloneVm:
-      return Clone3Backend();
+      return CloneVmBackend();
     case SpawnBackendKind::kForkExec:
       break;
   }

@@ -56,15 +56,27 @@ Status Supervisor::EnsureReactor() {
   return Status::Ok();
 }
 
-Status Supervisor::ArmWatch(Service& svc) {
+Status Supervisor::StartChild(Service& svc) {
+  auto child = service_ != nullptr ? service_->Spawn(svc.spawner) : svc.spawner.Spawn();
+  if (!child.ok()) {
+    return Err(child.error());
+  }
+  svc.child = std::move(child).value();
   // The callback's only job is waking the reactor and reaping promptly (which
   // stamps exit-observed); event construction stays in ReapAndRestart, which
   // sees the cached status. `svc` lives in a std::map node — address-stable
   // across insert/erase of other services — and the watch dies with it.
-  FORKLIFT_ASSIGN_OR_RETURN(
-      ChildWatch watch,
-      ChildWatch::Arm(*reactor_, svc.child.pid(), [&svc] { (void)svc.child.TryWait(); }));
-  svc.watch = std::move(watch);
+  auto watch =
+      ChildWatch::Arm(*reactor_, svc.child.pid(), [&svc] { (void)svc.child.TryWait(); });
+  if (!watch.ok()) {
+    // No service runs unwatched: its exit would never reach WaitEvents.
+    SignalService(svc.child, SIGKILL, options_.kill_process_group);
+    (void)svc.child.Wait();
+    return Err(watch.error());
+  }
+  svc.watch = std::move(*watch);
+  svc.running = true;
+  ++svc.starts;
   return Status::Ok();
 }
 
@@ -79,13 +91,6 @@ void Supervisor::ArmRestartBackoff(Service& svc) {
   svc.restart_timer = reactor_->AddTimerAt(svc.restart_not_before_ns, [] {});
 }
 
-Result<ProcessHandle> Supervisor::SpawnChild(Service& svc) {
-  if (service_ != nullptr) {
-    return service_->Spawn(svc.spawner);
-  }
-  return svc.spawner.Spawn();
-}
-
 Result<Supervisor::ServiceId> Supervisor::Launch(const Spawner& spawner, std::string name,
                                                  RestartPolicy policy) {
   if (spawner.UsesPipeStdio()) {
@@ -93,21 +98,16 @@ Result<Supervisor::ServiceId> Supervisor::Launch(const Spawner& spawner, std::st
                         "the pipe ends); use Stdio::Path or Stdio::Fd");
   }
   FORKLIFT_RETURN_IF_ERROR(EnsureReactor());
-  Service service{std::move(name), spawner, policy};
+  const ServiceId id = next_id_;
+  Service& svc = services_.emplace(id, Service{std::move(name), spawner, policy}).first->second;
   if (options_.kill_process_group) {
-    service.spawner.SetProcessGroup(0);  // own group, so group signals work
+    svc.spawner.SetProcessGroup(0);  // own group, so group signals work
   }
-  auto child = SpawnChild(service);
-  if (!child.ok()) {
-    return Err(child.error());
+  if (Status started = StartChild(svc); !started.ok()) {
+    services_.erase(id);
+    return Err(started.error());
   }
-  service.child = std::move(child).value();
-  service.running = true;
-  service.starts = 1;
-  ServiceId id = next_id_++;
-  auto [it, inserted] = services_.emplace(id, std::move(service));
-  (void)inserted;
-  FORKLIFT_RETURN_IF_ERROR(ArmWatch(it->second));
+  ++next_id_;
   return id;
 }
 
@@ -146,9 +146,8 @@ Result<std::vector<Supervisor::Event>> Supervisor::ReapAndRestart() {
 
     if (svc.pending_restart && !svc.abandoned && MonotonicNanos() >= svc.restart_not_before_ns) {
       svc.pending_restart = false;
-      auto child = SpawnChild(svc);
-      if (!child.ok()) {
-        // Spawn failure counts as an instant failed start.
+      if (!StartChild(svc).ok()) {
+        // A spawn or watch failure counts as an instant failed start.
         ++svc.consecutive_failures;
         if (svc.consecutive_failures > options_.max_consecutive_failures) {
           svc.abandoned = true;
@@ -160,12 +159,7 @@ Result<std::vector<Supervisor::Event>> Supervisor::ReapAndRestart() {
         } else {
           ArmRestartBackoff(svc);
         }
-        continue;
       }
-      svc.child = std::move(child).value();
-      svc.running = true;
-      ++svc.starts;
-      FORKLIFT_RETURN_IF_ERROR(ArmWatch(svc));
     }
   }
   return events;

@@ -68,8 +68,8 @@ class Supervisor {
   // Routes every (re)start through `service` (not owned, must outlive the
   // supervisor). nullptr spawns directly via each service's template — the
   // same as the two-argument constructors. Exit watching is
-  // location-transparent either way: ChildWatch's pidfd path works for
-  // non-children, and its fallback drives the handle's own TryWait, which is
+  // location-transparent either way: a pidfd watches a zygote's child as
+  // well as our own, and the watch drives the handle's own TryWait, which is
   // a protocol wait for remote children.
   explicit Supervisor(SpawnService* service) : Supervisor(Options{}, service) {}
   Supervisor(Options options, SpawnService* service);
@@ -80,7 +80,9 @@ class Supervisor {
 
   // Launches `spawner` now and remembers it as the service's template for
   // restarts. The spawner is copied; pipe stdio is rejected (a restarted
-  // child would have nowhere to hand the new pipe ends).
+  // child would have nowhere to hand the new pipe ends). A child whose exit
+  // watch cannot be armed is killed and reaped, and Launch returns the
+  // watch's error; a restart that fails the same way is a failed start.
   Result<ServiceId> Launch(const Spawner& spawner, std::string name, RestartPolicy policy);
 
   // One supervision step: pump the reactor without blocking, reap exits,
@@ -111,26 +113,26 @@ class Supervisor {
     std::string name;
     Spawner spawner;
     RestartPolicy policy;
-    ProcessHandle child;
+    ProcessHandle child{};
     bool running = false;
     bool abandoned = false;
     uint64_t starts = 0;
     int consecutive_failures = 0;
     uint64_t restart_not_before_ns = 0;  // MonotonicNanos gate
     bool pending_restart = false;
-    ChildWatch watch;                      // exit notification for `child`
+    ChildWatch watch{};                    // exit notification for `child`
     Reactor::TimerId restart_timer = 0;    // wakes the reactor at the gate
   };
 
   Status EnsureReactor();
-  Status ArmWatch(Service& svc);
+  // (Re)starts a service's child — through service_ when set, else the
+  // template's own backend — and arms its exit watch. A child whose watch
+  // cannot be armed is killed and reaped, and the error returned.
+  Status StartChild(Service& svc);
   // Gates the next restart at base * 2^(failures-1), capped, and arms a
   // reactor timer to wake at the gate.
   void ArmRestartBackoff(Service& svc);
   Result<std::vector<Event>> ReapAndRestart();
-  // (Re)starts a service's child: through service_ when set, else the
-  // template's own backend.
-  Result<ProcessHandle> SpawnChild(Service& svc);
 
   Options options_;
   SpawnService* service_ = nullptr;  // optional routing layer (not owned)

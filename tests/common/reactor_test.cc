@@ -1,7 +1,6 @@
 // Reactor + ChildWatch: the epoll/timerfd event loop under the event-driven
-// child lifecycle. Covers fd dispatch, timer ordering/cancellation, and exit
-// watches over both notification paths (pidfd and the forced timer-poll
-// fallback a pre-5.3 kernel would take).
+// child lifecycle. Covers fd dispatch, timer ordering/cancellation, and pidfd
+// exit watches, including one armed on a pid that is already gone.
 #include "src/common/reactor.h"
 
 #include <gtest/gtest.h>
@@ -16,15 +15,6 @@
 
 namespace forklift {
 namespace {
-
-bool PidfdAvailable() {
-  int fd = PidfdOpen(::getpid());
-  if (fd < 0) {
-    return false;
-  }
-  ::close(fd);
-  return true;
-}
 
 // Forks a child that parks on a pipe read and exits when the write end
 // closes — a process whose exact exit moment the test controls.
@@ -159,21 +149,7 @@ TEST(ReactorTest, PastDeadlineFiresImmediately) {
   EXPECT_LT(sw.ElapsedSeconds(), 0.5);
 }
 
-class ChildWatchBothPaths : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    force_fallback_ = GetParam();
-    if (!force_fallback_ && !PidfdAvailable()) {
-      GTEST_SKIP() << "pidfd_open unavailable on this kernel";
-    }
-    TestOnlyForcePidfdFallback(force_fallback_);
-  }
-  void TearDown() override { TestOnlyForcePidfdFallback(false); }
-
-  bool force_fallback_ = false;
-};
-
-TEST_P(ChildWatchBothPaths, FiresOnExit) {
+TEST(ChildWatchTest, FiresOnExit) {
   auto reactor = Reactor::Create();
   ASSERT_TRUE(reactor.ok());
   ParkedChild child = ParkedChild::Start();
@@ -181,7 +157,6 @@ TEST_P(ChildWatchBothPaths, FiresOnExit) {
   bool exited = false;
   auto watch = ChildWatch::Arm(*reactor, child.pid, [&exited] { exited = true; });
   ASSERT_TRUE(watch.ok());
-  EXPECT_EQ(watch->using_pidfd(), !force_fallback_);
   EXPECT_TRUE(watch->armed());
 
   // Not exited yet: a non-blocking pass must not fire the watch.
@@ -198,7 +173,7 @@ TEST_P(ChildWatchBothPaths, FiresOnExit) {
   child.Reap();
 }
 
-TEST_P(ChildWatchBothPaths, DisarmSuppressesCallback) {
+TEST(ChildWatchTest, DisarmSuppressesCallback) {
   auto reactor = Reactor::Create();
   ASSERT_TRUE(reactor.ok());
   ParkedChild child = ParkedChild::Start();
@@ -215,7 +190,7 @@ TEST_P(ChildWatchBothPaths, DisarmSuppressesCallback) {
   EXPECT_FALSE(exited);
 }
 
-TEST_P(ChildWatchBothPaths, AlreadyExitedChildStillNotifies) {
+TEST(ChildWatchTest, AlreadyExitedChildStillNotifies) {
   auto reactor = Reactor::Create();
   ASSERT_TRUE(reactor.ok());
   ParkedChild child = ParkedChild::Start();
@@ -244,10 +219,44 @@ TEST_P(ChildWatchBothPaths, AlreadyExitedChildStillNotifies) {
   child.Reap();
 }
 
-INSTANTIATE_TEST_SUITE_P(PidfdAndFallback, ChildWatchBothPaths, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "TimerPollFallback" : "Pidfd";
-                         });
+// pidfd_open fails with ESRCH for a pid that is already gone: a zygote's
+// child reaped before its client armed a watch. Its exit has happened, so
+// the watch fires on the next PollOnce, through a zero-delay timer.
+// (Deterministic here: the test reaps its own child before arming.)
+TEST(ChildWatchTest, AlreadyReapedPidFiresOnNextPoll) {
+  auto reactor = Reactor::Create();
+  ASSERT_TRUE(reactor.ok());
+  ParkedChild child = ParkedChild::Start();
+  ASSERT_GT(child.pid, 0);
+  child.release.Reset();
+  child.Reap();
+  bool exited = false;
+  auto watch = ChildWatch::Arm(*reactor, child.pid, [&exited] { exited = true; });
+  ASSERT_TRUE(watch.ok()) << watch.error().ToString();
+  EXPECT_TRUE(watch->armed());
+  auto n = reactor->PollOnce(5000);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1);
+  EXPECT_TRUE(exited);
+  EXPECT_FALSE(watch->armed());
+}
+
+// Disarming a watch on a pid that is already gone cancels its pending fire.
+TEST(ChildWatchTest, DisarmOnAlreadyReapedPidSuppressesCallback) {
+  auto reactor = Reactor::Create();
+  ASSERT_TRUE(reactor.ok());
+  ParkedChild child = ParkedChild::Start();
+  ASSERT_GT(child.pid, 0);
+  child.release.Reset();
+  child.Reap();
+  bool exited = false;
+  auto watch = ChildWatch::Arm(*reactor, child.pid, [&exited] { exited = true; });
+  ASSERT_TRUE(watch.ok()) << watch.error().ToString();
+  watch->Disarm();
+  EXPECT_EQ(reactor->timer_count(), 0u);
+  ASSERT_TRUE(reactor->PollOnce(50).ok());
+  EXPECT_FALSE(exited);
+}
 
 }  // namespace
 }  // namespace forklift

@@ -110,8 +110,8 @@ TEST_F(SpawnFaultTest, FailedAwaitExecLeavesNoChildAndNoFds) {
 // An injected ENOMEM at the clone_vm engine's process creation (the zygote's
 // launch engine) is a clean error: no child, and the exec pipe closed.
 TEST_F(SpawnFaultTest, FailedCloneVmLeavesNoChildAndNoFds) {
-  if (std::string(Clone3Backend().Name()) != "clone(CLONE_VM|CLONE_VFORK)") {
-    GTEST_SKIP() << "this build's clone_vm engine is " << Clone3Backend().Name();
+  if (std::string(CloneVmBackend().Name()) != "clone(CLONE_VM|CLONE_VFORK)") {
+    GTEST_SKIP() << "this build's clone_vm engine is " << CloneVmBackend().Name();
   }
   ASSERT_FALSE(HasAnyChild());
   std::set<int> before = SnapshotFds();
@@ -178,22 +178,30 @@ TEST_F(SpawnFaultTest, PollOnceSurfacesLostTimerRearm) {
   EXPECT_TRUE(again.ok()) << again.error().ToString();
 }
 
-// Injected EMFILE on the reactor's pidfd_open probe must degrade WaitDeadline
-// to the timer-poll fallback, not fail the wait.
-TEST_F(SpawnFaultTest, WaitDeadlineSurvivesPidfdOpenFailure) {
+// The pidfd is a deadline wait's only exit signal: an injected EMFILE on
+// pidfd_open fails the wait with that error and leaves the child alone, still
+// collectable by a plain Wait.
+TEST_F(SpawnFaultTest, WaitDeadlineReportsPidfdOpenFailure) {
+  // cat runs until its stdin closes, so the wait cannot take the fast path.
+  auto child = Spawner("/bin/cat").SetStdin(Stdio::Pipe()).Spawn();
+  ASSERT_TRUE(child.ok()) << child.error().ToString();
+
   fault::PlanSpec spec;
   spec.site = "reactor.pidfd_open";
   spec.mode = fault::Mode::kEmfile;
   spec.nth = 1;
   fault::InstallPlan(spec);
-
-  auto child = Spawner("/bin/true").Spawn();
-  ASSERT_TRUE(child.ok()) << child.error().ToString();
   auto st = child->WaitDeadline(10.0);
+  const uint64_t fired = fault::InjectionsFired();
   fault::ClearPlan();
-  ASSERT_TRUE(st.ok()) << st.error().ToString();
-  ASSERT_TRUE(st->has_value()) << "child did not exit within deadline";
-  EXPECT_TRUE((*st)->Success());
+
+  child->stdin_fd().Reset();
+  ASSERT_EQ(fired, 1u);
+  ASSERT_FALSE(st.ok()) << "the deadline wait ran without an exit watch";
+  EXPECT_EQ(st.error().code(), EMFILE) << st.error().ToString();
+  auto reaped = child->Wait();
+  ASSERT_TRUE(reaped.ok()) << reaped.error().ToString();
+  EXPECT_TRUE(reaped->Success());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "src/forkserver/server.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +24,8 @@
 #include "src/forkserver/fd_transfer.h"
 #include "src/forkserver/pool.h"
 #include "src/forkserver/protocol.h"
+#include "src/forkserver/wire.h"
+#include "src/obs/registry.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
@@ -283,10 +286,6 @@ uint64_t EpollCtlAddHits() {
   return 0;
 }
 
-struct ClearFaultPlanOnExit {
-  ~ClearFaultPlanOnExit() { fault::ClearPlan(); }
-};
-
 // Polls the zygote's children list until it is empty — a zombie is still
 // listed, so empty means every child was reaped — and returns what is left
 // after ~5 s ("" when none).
@@ -340,7 +339,7 @@ Result<pid_t> SpawnRaw(int sock, const Spawner& spawner) {
   }
   FORKLIFT_ASSIGN_OR_RETURN(SpawnReply reply, DecodeSpawnReply(frame.payload));
   if (!reply.ok) {
-    return LogicalError(reply.context);
+    return Err(Error(reply.err, reply.context));
   }
   return static_cast<pid_t>(reply.pid);
 }
@@ -357,147 +356,142 @@ void CloseRawChannel(UniqueFd sock) {
   EXPECT_EQ(n, 0) << "read error instead of EOF";
 }
 
-// The zygote's one blocking path: a kWait for a child whose exit watch failed
-// to arm (its pidfd's epoll_ctl(ADD) fails inside the zygote) is answered by
-// a blocking reap. The wait must still get the exit status, exactly once, and
-// the zygote must be left with no zombie.
-TEST(ForkServerProcessTest, WaitOnChildWithoutExitWatchReapsOnce) {
-  ClearFaultPlanOnExit clear;
-  // Count the zygote's own start-up registrations; the next epoll_ctl(ADD)
-  // after them is the first child's exit watch.
+// The zygote's own start-up registrations on the reactor's epoll_ctl(ADD)
+// site (its timerfd and first channel), counted by a traced probe zygote.
+uint64_t ZygoteStartupEpollAdds() {
   fault::PlanSpec trace;
   trace.trace = true;
   fault::InstallPlan(trace);
-  uint64_t startup_adds = 0;
+  auto probe = StartForkServerProcess();
+  if (!probe.ok()) {
+    return 0;
+  }
   {
-    auto probe = StartForkServerProcess();
-    ASSERT_TRUE(probe.ok()) << probe.error().ToString();
     ForkServerClient client(std::move(probe->client_sock));
-    ASSERT_TRUE(client.Ping().ok());
-    startup_adds = EpollCtlAddHits();
-    ASSERT_TRUE(client.Shutdown().ok());
-    ASSERT_TRUE(WaitForExit(probe->server_pid).ok());
+    if (!client.Ping().ok() || !client.Shutdown().ok()) {
+      return 0;
+    }
   }
-  ASSERT_GT(startup_adds, 0u);
-
-  fault::PlanSpec spec;
-  spec.site = "reactor.epoll_ctl_add";
-  spec.mode = fault::Mode::kEnomem;
-  spec.nth = startup_adds + 1;
-  fault::InstallPlan(spec);  // resets the counters; the zygote inherits it
-  auto handle = StartForkServerProcess();
-  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
-  const pid_t zygote = handle->server_pid;
-  {
-    ForkServerClient client(std::move(handle->client_sock));
-    auto hold = MakePipe();
-    ASSERT_TRUE(hold.ok());
-    Spawner s("/bin/sh");
-    s.Args({"-c", "read line; exit 7"}).SetStdin(Stdio::Fd(hold->read_end.get()));
-    auto pid = SpawnVia(client, s);
-    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
-    hold->read_end.Reset();
-    ASSERT_EQ(fault::InjectionsFired(), 1u) << "the child's exit watch must have failed to arm";
-
-    auto wait = client.WaitAsync(*pid);
-    ASSERT_TRUE(wait.ok());
-    hold->write_end.Reset();  // `read` sees EOF and the child exits 7
-    auto st = wait->AwaitExit();
-    ASSERT_TRUE(st.ok()) << st.error().ToString();
-    EXPECT_TRUE(st->exited);
-    EXPECT_EQ(st->exit_code, 7);
-
-    // Exactly once: the reply retired the child.
-    auto again = client.WaitRemote(*pid);
-    ASSERT_FALSE(again.ok());
-    EXPECT_EQ(again.error().code(), ECHILD) << again.error().ToString();
-
-    const std::string children =
-        "/proc/" + std::to_string(zygote) + "/task/" + std::to_string(zygote) + "/children";
-    std::ifstream in(children);
-    ASSERT_TRUE(in.good()) << children;
-    std::string left((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    EXPECT_EQ(left.find_first_not_of(" \n"), std::string::npos) << "zygote children: " << left;
-    EXPECT_TRUE(client.Ping().ok());
-    EXPECT_TRUE(client.Shutdown().ok());
-  }
-  EXPECT_TRUE(WaitForExit(zygote).ok());
+  const uint64_t adds = EpollCtlAddHits();
+  fault::ClearPlan();
+  return WaitForExit(probe->server_pid).ok() ? adds : 0;
 }
 
-// The same blocking path when the waiting channel's peer is gone: its burst's
-// queued reply cannot be flushed, so the channel closes, but the child must
-// still be reaped rather than left a zombie in a zygote that keeps serving
-// its other channels.
-TEST(ForkServerProcessTest, BlockingWaitOnAClosedChannelStillReapsTheChild) {
-  ClearFaultPlanOnExit clear;
-  fault::PlanSpec trace;
-  trace.trace = true;
-  fault::InstallPlan(trace);
-  uint64_t startup_adds = 0;
-  {
-    auto probe = StartForkServerProcess();
-    ASSERT_TRUE(probe.ok()) << probe.error().ToString();
-    ForkServerClient client(std::move(probe->client_sock));
-    ASSERT_TRUE(client.Ping().ok());
-    startup_adds = EpollCtlAddHits();
-    ASSERT_TRUE(client.Shutdown().ok());
-    ASSERT_TRUE(WaitForExit(probe->server_pid).ok());
-  }
-  ASSERT_GT(startup_adds, 0u);
+// Every spawn the zygote has counted, across processes (the arena is
+// shared with zygotes forked after its first use).
+uint64_t ZygoteSpawnsTotal() {
+  return obs::MetricsRegistry::Global().GetCounter("forklift_forkserver_spawns_total").Value();
+}
 
-  // The next two registrations are the adopted second channel and the
-  // child's exit watch; only the watch fails.
+// One kPing and its kPong on a raw channel.
+Status PingRaw(int sock) {
+  FORKLIFT_RETURN_IF_ERROR(
+      SendFrame(sock, EncodeControl(MsgType::kPing, FrameMeta{kForkServerProtocolV2, 4})));
+  FrameBuffer fb;
+  Frame frame;
+  FORKLIFT_ASSIGN_OR_RETURN(bool got, RecvFrame(sock, &fb, &frame));
+  if (!got) {
+    return LogicalError("channel closed before the pong");
+  }
+  WireReader reader(frame.payload);
+  FORKLIFT_ASSIGN_OR_RETURN(FrameHeader hdr, DecodeHeader(reader));
+  if (hdr.type != MsgType::kPong) {
+    return LogicalError("answered a ping with something else");
+  }
+  return Status::Ok();
+}
+
+// A zygote started under a fault plan (installed first, so the zygote
+// inherits it), with a raw channel adopted beside its primary client.
+class UnwatchableChildTest : public ::testing::Test {
+ protected:
+  void StartUnder(const fault::PlanSpec& spec) {
+    spawns_before_ = ZygoteSpawnsTotal();
+    fault::InstallPlan(spec);
+    auto handle = StartForkServerProcess();
+    ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+    zygote_ = handle->server_pid;
+    auto adopted = AdoptRawChannel(handle->client_sock.get());
+    ASSERT_TRUE(adopted.ok()) << adopted.error().ToString();
+    raw_ = std::move(*adopted);
+    client_ = std::make_unique<ForkServerClient>(std::move(handle->client_sock));
+    ASSERT_EQ(fault::InjectionsFired(), 0u) << "the zygote's start-up must not hit the fault";
+  }
+
+  void TearDown() override {
+    if (client_ != nullptr) {
+      EXPECT_TRUE(client_->Shutdown().ok());
+    }
+    if (zygote_ > 0) {
+      EXPECT_TRUE(WaitForExit(zygote_).ok());
+    }
+    fault::ClearPlan();
+  }
+
+  // The zygote could not watch the child it launched: it killed and reaped
+  // it and answered the spawn with the watch's error. So no child is left in
+  // the zygote, no spawn was counted, and both channels still serve.
+  void ExpectRefused(const Result<pid_t>& pid, int err) {
+    if (pid.ok()) {
+      (void)::kill(*pid, SIGKILL);
+    }
+    ASSERT_FALSE(pid.ok()) << "the zygote handed out pid " << *pid << " with no exit watch";
+    EXPECT_EQ(pid.error().code(), err) << pid.error().ToString();
+    EXPECT_EQ(fault::InjectionsFired(), 1u);
+    EXPECT_EQ(AwaitNoChildren(zygote_), "");
+    EXPECT_EQ(ZygoteSpawnsTotal(), spawns_before_);
+    EXPECT_TRUE(client_->Ping().ok());
+    Status pinged = PingRaw(raw_.get());
+    EXPECT_TRUE(pinged.ok()) << pinged.error().ToString();
+  }
+
+  // The child outlives the test unless the zygote kills it.
+  static Spawner LongChild() {
+    Spawner s("/bin/sleep");
+    s.Arg("30");
+    return s;
+  }
+
+  uint64_t spawns_before_ = 0;
+  pid_t zygote_ = -1;
+  UniqueFd raw_;
+  std::unique_ptr<ForkServerClient> client_;
+};
+
+// The child's pidfd cannot be registered: the epoll_ctl(ADD) after the
+// zygote's start-up and the adopted channel's fails with ENOMEM.
+TEST_F(UnwatchableChildTest, SpawnWhosePidfdCannotRegisterIsKilledAndRefused) {
+  const uint64_t startup_adds = ZygoteStartupEpollAdds();
+  ASSERT_GT(startup_adds, 0u);
   fault::PlanSpec spec;
   spec.site = "reactor.epoll_ctl_add";
   spec.mode = fault::Mode::kEnomem;
   spec.nth = startup_adds + 2;
-  fault::InstallPlan(spec);
-  auto handle = StartForkServerProcess();
-  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
-  const pid_t zygote = handle->server_pid;
-  {
-    auto adopted = AdoptRawChannel(handle->client_sock.get());
-    ASSERT_TRUE(adopted.ok()) << adopted.error().ToString();
-    UniqueFd raw = std::move(*adopted);
-    ASSERT_EQ(fault::InjectionsFired(), 0u) << "the second channel must have registered";
-    ForkServerClient client(std::move(handle->client_sock));
+  StartUnder(spec);
+  ExpectRefused(SpawnVia(*client_, LongChild()), ENOMEM);
+}
 
-    auto hold = MakePipe();
-    ASSERT_TRUE(hold.ok());
-    Spawner s("/bin/sh");
-    s.Args({"-c", "read line; exit 7"}).SetStdin(Stdio::Fd(hold->read_end.get()));
-    auto pid = SpawnVia(client, s);
-    ASSERT_TRUE(pid.ok()) << pid.error().ToString();
-    hold->read_end.Reset();
-    ASSERT_EQ(fault::InjectionsFired(), 1u) << "the child's exit watch must have failed to arm";
+// The same refusal answers a spawn sent on the adopted channel.
+TEST_F(UnwatchableChildTest, SecondChannelSpawnWhosePidfdCannotRegisterIsKilledAndRefused) {
+  const uint64_t startup_adds = ZygoteStartupEpollAdds();
+  ASSERT_GT(startup_adds, 0u);
+  fault::PlanSpec spec;
+  spec.site = "reactor.epoll_ctl_add";
+  spec.mode = fault::Mode::kEnomem;
+  spec.nth = startup_adds + 2;
+  StartUnder(spec);
+  ExpectRefused(SpawnRaw(raw_.get(), LongChild()), ENOMEM);
+}
 
-    // Shutting down our read side makes every zygote write to this channel
-    // fail with EPIPE. One write carries a kPing (its pong is queued) and a
-    // kWait for the unwatched child, whose blocking fallback must flush the
-    // pong first and so finds the peer gone.
-    ASSERT_EQ(::shutdown(raw.get(), SHUT_RD), 0);
-    std::string burst;
-    for (const std::string& payload :
-         {EncodeControl(MsgType::kPing, FrameMeta{kForkServerProtocolV2, 2}),
-          EncodeWait(*pid, FrameMeta{kForkServerProtocolV2, 3})}) {
-      const uint32_t len = static_cast<uint32_t>(payload.size());
-      burst.append(reinterpret_cast<const char*>(&len), sizeof(len));
-      burst.append(payload);
-    }
-    ASSERT_TRUE(WriteFull(raw.get(), burst.data(), burst.size()).ok());
-    raw.Reset();
-    hold->write_end.Reset();  // `read` sees EOF and the child exits 7
-
-    EXPECT_EQ(AwaitNoChildren(zygote), "");
-
-    // The fallback retired the child; the first channel keeps serving.
-    auto again = client.WaitRemote(*pid);
-    ASSERT_FALSE(again.ok());
-    EXPECT_EQ(again.error().code(), ECHILD) << again.error().ToString();
-    EXPECT_TRUE(client.Ping().ok());
-    EXPECT_TRUE(client.Shutdown().ok());
-  }
-  EXPECT_TRUE(WaitForExit(zygote).ok());
+// The child's pidfd cannot be opened: the first pidfd_open, the zygote's
+// watch on its first child, fails with EMFILE.
+TEST_F(UnwatchableChildTest, SpawnWhosePidfdCannotOpenIsKilledAndRefused) {
+  fault::PlanSpec spec;
+  spec.site = "reactor.pidfd_open";
+  spec.mode = fault::Mode::kEmfile;
+  spec.nth = 1;
+  StartUnder(spec);
+  ExpectRefused(SpawnVia(*client_, LongChild()), EMFILE);
 }
 
 // A zygote process with two channels: the primary behind a ForkServerClient,
@@ -641,6 +635,31 @@ TEST(WorkerPoolTest, ManyTasksOneWorker) {
     EXPECT_EQ(r->output, "task" + std::to_string(i) + "\n");
   }
   EXPECT_EQ(pool.tasks_executed(), 50u);
+}
+
+// A worker the pool cannot watch would die unnoticed: Start fails with the
+// watch's error and stops every worker it spawned.
+TEST(WorkerPoolTest, StartFailsWhenAWorkerCannotBeWatched) {
+  auto own_children = [] {
+    std::ifstream in("/proc/self/task/" + std::to_string(::getpid()) + "/children");
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const std::string before = own_children();
+  fault::PlanSpec spec;
+  spec.site = "reactor.pidfd_open";
+  spec.mode = fault::Mode::kEmfile;
+  spec.nth = 2;
+  fault::InstallPlan(spec);
+  ShellWorkerPool pool;
+  Status started = pool.Start({.workers = 3});
+  const uint64_t fired = fault::InjectionsFired();
+  fault::ClearPlan();
+  EXPECT_EQ(fired, 1u);
+  ASSERT_FALSE(started.ok()) << "the pool kept a worker it cannot watch";
+  EXPECT_EQ(started.error().code(), EMFILE) << started.error().ToString();
+  EXPECT_EQ(pool.worker_count(), 0u);
+  EXPECT_EQ(own_children(), before);
+  EXPECT_FALSE(pool.Execute("echo x").ok());
 }
 
 TEST(WorkerPoolTest, UnstartedPoolRejectsWork) {

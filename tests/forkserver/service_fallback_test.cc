@@ -9,13 +9,17 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
@@ -24,6 +28,7 @@
 #include "src/forkserver/sharded.h"
 #include "src/spawn/service.h"
 #include "src/spawn/spawner.h"
+#include "src/spawn/supervisor.h"
 
 namespace forklift {
 namespace {
@@ -292,6 +297,108 @@ TEST_F(ServiceFallbackTest, RemoteKillAndWait) {
   EXPECT_TRUE(st->signaled);
   EXPECT_EQ(st->term_signal, SIGTERM);
   EXPECT_TRUE(child->KillAndWait().ok());  // idempotent after the reap
+}
+
+// The parent of `pid`, read from /proc/<pid>/status (-1 if unreadable).
+pid_t ParentOf(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("PPid:", 0) == 0) {
+      return static_cast<pid_t>(std::stol(line.substr(5)));
+    }
+  }
+  return -1;
+}
+
+// A self-started zygote whose channel dies while a handle from that channel
+// is alive never sees EOF: the handle keeps the old client, and with it the
+// socket. The same-route retry must kill that zygote before reaping it, not
+// wait for it forever, and serve the spawn from a fresh one.
+TEST_F(ServiceFallbackTest, DeadSelfStartedZygoteIsKilledNotAwaited) {
+  auto service = std::make_unique<SpawnService>();
+  service->AddRoute(ForkServerTransport::StartInProcess());
+
+  Spawner sleeper("/bin/sleep");
+  sleeper.Arg("1");
+  auto held = service->Spawn(sleeper);
+  ASSERT_TRUE(held.ok()) << held.error().ToString();
+  ASSERT_EQ(held->route(), "forkserver");
+  const pid_t old_zygote = ParentOf(held->pid());
+  ASSERT_GT(old_zygote, 0);
+
+  // The next frame write fails: the channel dies with the handle still held.
+  fault::PlanSpec spec;
+  spec.site = "syscall.writev_full";
+  spec.mode = fault::Mode::kEio;
+  spec.nth = 1;
+  fault::InstallPlan(spec);
+  std::promise<Result<ProcessHandle>> spawned;
+  std::future<Result<ProcessHandle>> next = spawned.get_future();
+  std::thread spawner([&] { spawned.set_value(service->Spawn(Spawner("/bin/true"))); });
+  const bool returned = next.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (!returned) {
+    (void)::kill(old_zygote, SIGKILL);  // unblock the reap so the test can fail, not hang
+  }
+  spawner.join();
+  fault::ClearPlan();
+  ASSERT_TRUE(returned) << "the retry waited on the old zygote " << old_zygote;
+
+  auto child = next.get();
+  ASSERT_TRUE(child.ok()) << child.error().ToString();
+  EXPECT_EQ(child->route(), "forkserver");
+  EXPECT_NE(ParentOf(child->pid()), old_zygote);
+  auto st = child->Wait();
+  ASSERT_TRUE(st.ok()) << st.error().ToString();
+  EXPECT_TRUE(st->Success());
+  EXPECT_EQ(service->RouteStats("forkserver").successes, 2u);
+  // The held handle's channel is dead; the transport's destructor reaps the
+  // fresh zygote.
+  service.reset();
+}
+
+// Supervisor over a zygote route: the service's children are the zygote's,
+// not ours, and their exits still reach WaitEvents through pidfds. An exit
+// the zygote reaps before the supervisor arms its watch arrives the same way.
+TEST_F(ServiceFallbackTest, SupervisorOverAZygoteRoute) {
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t zygote = handle->server_pid;
+  auto channel = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
+  SpawnService service(DeterministicOptions());
+  service.AddRoute(ForkServerTransport::Adopt(channel));
+  {
+    Supervisor::Options opts;
+    opts.restart_backoff_base_seconds = 0.001;
+    Supervisor sup(opts, &service);
+
+    auto oneshot = sup.Launch(Spawner("/bin/true"), "oneshot", RestartPolicy::kNever);
+    ASSERT_TRUE(oneshot.ok()) << oneshot.error().ToString();
+    std::vector<Supervisor::Event> events;
+    Stopwatch sw;
+    while (events.empty() && sw.ElapsedSeconds() < 1.0) {
+      auto got = sup.WaitEvents(0.05);
+      ASSERT_TRUE(got.ok()) << got.error().ToString();
+      events = std::move(*got);
+    }
+    ASSERT_EQ(events.size(), 1u) << "no exit event within 1 s";
+    EXPECT_EQ(events[0].id, *oneshot);
+    EXPECT_TRUE(events[0].status.Success()) << events[0].status.ToString();
+    EXPECT_FALSE(events[0].will_restart);
+
+    auto cycler = sup.Launch(Spawner("/bin/true"), "cycler", RestartPolicy::kAlways);
+    ASSERT_TRUE(cycler.ok()) << cycler.error().ToString();
+    for (int i = 0; i < 100 && sup.StartCount(*cycler).value() < 3; ++i) {
+      auto got = sup.WaitEvents(0.05);
+      ASSERT_TRUE(got.ok()) << got.error().ToString();
+    }
+    const uint64_t starts = sup.StartCount(*cycler).value();
+    EXPECT_GE(starts, 3u) << "restarted fewer than twice";
+    ASSERT_TRUE(sup.ShutdownAll().ok());
+    // Every start, the one-shot's included, went to the zygote.
+    EXPECT_EQ(service.RouteStats("forkserver").successes, starts + 1);
+  }
+  ASSERT_TRUE(channel->Shutdown().ok());
+  EXPECT_TRUE(WaitForExit(zygote).ok());
 }
 
 }  // namespace

@@ -132,8 +132,8 @@ TEST(ForkGuardTest, FlushAndWarnPreventsDuplicationEndToEnd) {
     _exit(0);
   }
   ASSERT_TRUE(WaitForExit(pid).ok());
-  std::fclose(f);  // parent buffer also already flushed
   StdioAudit::Instance().Unregister(f);
+  std::fclose(f);  // parent buffer also already flushed
   p->write_end.Reset();
   auto data = ReadAll(p->read_end.get());
   ASSERT_TRUE(data.ok());

@@ -1,41 +1,17 @@
-// WaitDeadline / Communicate on the handle Spawner::Spawn returns, over both
-// exit-notification paths (pidfd and the forced timer-poll fallback), plus
-// the spawn-phase instrumentation (SpawnMetrics) stamped along the submit →
-// exec-confirmed → exit-observed pipeline.
+// WaitDeadline / Communicate on the handle Spawner::Spawn returns (exits
+// arrive on the child's pidfd), plus the spawn-phase instrumentation
+// (SpawnMetrics) stamped along the submit → exec-confirmed → exit-observed
+// pipeline.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include "src/common/clock.h"
-#include "src/common/reactor.h"
 #include "src/spawn/metrics.h"
 #include "src/spawn/spawner.h"
 
 namespace forklift {
 namespace {
 
-bool PidfdAvailable() {
-  int fd = PidfdOpen(::getpid());
-  if (fd < 0) {
-    return false;
-  }
-  ::close(fd);
-  return true;
-}
-
-// The contract under test is path-independence: every case below must behave
-// identically whether exits arrive via pidfd or the timer-poll fallback.
-class ChildWaitBothPaths : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    if (!GetParam() && !PidfdAvailable()) {
-      GTEST_SKIP() << "pidfd_open unavailable on this kernel";
-    }
-    TestOnlyForcePidfdFallback(GetParam());
-  }
-  void TearDown() override { TestOnlyForcePidfdFallback(false); }
-};
-
-TEST_P(ChildWaitBothPaths, WaitDeadlineCatchesExit) {
+TEST(ChildWaitTest, WaitDeadlineCatchesExit) {
   auto child = Spawner("/bin/sh").Arg("-c").Arg("sleep 0.05").Spawn();
   ASSERT_TRUE(child.ok());
   auto st = child->WaitDeadline(5.0);
@@ -44,7 +20,7 @@ TEST_P(ChildWaitBothPaths, WaitDeadlineCatchesExit) {
   EXPECT_TRUE((*st)->Success());
 }
 
-TEST_P(ChildWaitBothPaths, WaitDeadlineTimesOutAndChildSurvives) {
+TEST(ChildWaitTest, WaitDeadlineTimesOutAndChildSurvives) {
   auto child = Spawner("/bin/sleep").Arg("10").Spawn();
   ASSERT_TRUE(child.ok());
   Stopwatch sw;
@@ -61,7 +37,7 @@ TEST_P(ChildWaitBothPaths, WaitDeadlineTimesOutAndChildSurvives) {
   ASSERT_TRUE(child->KillAndWait().ok());
 }
 
-TEST_P(ChildWaitBothPaths, WaitDeadlineOnAlreadyReapedChildReturnsCachedStatus) {
+TEST(ChildWaitTest, WaitDeadlineOnAlreadyReapedChildReturnsCachedStatus) {
   auto child = Spawner("/bin/true").Spawn();
   ASSERT_TRUE(child.ok());
   ASSERT_TRUE(child->Wait().ok());
@@ -71,7 +47,7 @@ TEST_P(ChildWaitBothPaths, WaitDeadlineOnAlreadyReapedChildReturnsCachedStatus) 
   EXPECT_TRUE((*st)->Success());
 }
 
-TEST_P(ChildWaitBothPaths, CommunicateDrainsBothStreamsAndReaps) {
+TEST(ChildWaitTest, CommunicateDrainsBothStreamsAndReaps) {
   auto child = Spawner("/bin/sh")
                    .Arg("-c")
                    .Arg("cat; echo err >&2")
@@ -86,11 +62,6 @@ TEST_P(ChildWaitBothPaths, CommunicateDrainsBothStreamsAndReaps) {
   EXPECT_EQ(outcome->stdout_data, "hello\n");
   EXPECT_EQ(outcome->stderr_data, "err\n");
 }
-
-INSTANTIATE_TEST_SUITE_P(PidfdAndFallback, ChildWaitBothPaths, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "TimerPollFallback" : "Pidfd";
-                         });
 
 // Each phase histogram takes a sample only when its two stamps are ordered,
 // so exactly one sample per phase proves the spawn stamped submit ≤

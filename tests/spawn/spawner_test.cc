@@ -58,7 +58,7 @@ class SpawnerBackendTest : public ::testing::TestWithParam<SpawnBackendKind> {
       case SpawnBackendKind::kPosixSpawn:
         return "local:posix_spawn";
       case SpawnBackendKind::kCloneVm:
-        return "local:clone3";
+        return "local:clone_vm";
     }
     return "";
   }

@@ -4,10 +4,13 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include "src/common/clock.h"
-
 #include <cerrno>
 #include <fstream>
+#include <set>
+#include <string>
+
+#include "src/common/clock.h"
+#include "src/faultinject/faultinject.h"
 
 namespace forklift {
 namespace {
@@ -261,30 +264,61 @@ TEST(SupervisorTest, ExitToEventLatencyUnder20ms) {
   EXPECT_LT(elapsed, 0.020) << "exit-to-event latency regressed to polling";
 }
 
-// The supervisor must behave identically when pidfd_open is unavailable and
-// the watches run on the reactor's timer-poll fallback.
-TEST(SupervisorTest, FallbackPathBehavesIdentically) {
-  TestOnlyForcePidfdFallback(true);
+// This process's children, zombies included.
+std::set<pid_t> OurChildren() {
+  std::ifstream in("/proc/self/task/" + std::to_string(::getpid()) + "/children");
+  std::set<pid_t> pids;
+  for (pid_t pid; in >> pid;) {
+    pids.insert(pid);
+  }
+  return pids;
+}
+
+// A service whose exit watch cannot be armed would run unwatched: Launch
+// kills and reaps it, forgets it, and returns the watch's error.
+TEST(SupervisorTest, LaunchWithoutAnExitWatchLeavesNoChild) {
+  const std::set<pid_t> before = OurChildren();
+  Supervisor sup;
+  fault::PlanSpec spec;
+  spec.site = "reactor.pidfd_open";
+  spec.mode = fault::Mode::kEmfile;
+  spec.nth = 1;
+  fault::InstallPlan(spec);
+  auto id = sup.Launch(SleepService("30"), "unwatched", RestartPolicy::kAlways);
+  const uint64_t fired = fault::InjectionsFired();
+  fault::ClearPlan();
+
+  EXPECT_EQ(fired, 1u);
+  ASSERT_FALSE(id.ok()) << "Launch kept a service it cannot watch";
+  EXPECT_EQ(id.error().code(), EMFILE) << id.error().ToString();
+  EXPECT_EQ(sup.running_count(), 0u);
+  EXPECT_EQ(OurChildren(), before);
+}
+
+// A restart whose exit watch cannot be armed is a failed start: its child is
+// killed and reaped, and the next restart after the backoff runs normally.
+TEST(SupervisorTest, RestartWithoutAnExitWatchIsAFailedStart) {
+  const std::set<pid_t> before = OurChildren();
   Supervisor::Options opts;
   opts.restart_backoff_base_seconds = 0.001;
   Supervisor sup(opts);
-
-  auto oneshot = sup.Launch(OneShot("exit 0"), "oneshot", RestartPolicy::kNever);
-  ASSERT_TRUE(oneshot.ok());
-  auto events = sup.WaitEvents(5.0);
-  ASSERT_TRUE(events.ok());
-  ASSERT_EQ(events->size(), 1u);
-  EXPECT_TRUE((*events)[0].status.Success());
-  EXPECT_FALSE((*events)[0].will_restart);
-
-  auto respawner = sup.Launch(OneShot("exit 1"), "respawner", RestartPolicy::kOnFailure);
-  ASSERT_TRUE(respawner.ok());
-  for (int i = 0; i < 100 && sup.StartCount(*respawner).value() < 2; ++i) {
-    (void)sup.WaitEvents(0.05);
+  auto id = sup.Launch(OneShot("exit 0"), "cycler", RestartPolicy::kAlways);
+  ASSERT_TRUE(id.ok()) << id.error().ToString();
+  fault::PlanSpec spec;
+  spec.site = "reactor.pidfd_open";
+  spec.mode = fault::Mode::kEmfile;
+  spec.nth = 1;
+  fault::InstallPlan(spec);
+  for (int i = 0; i < 100 && sup.StartCount(*id).value() < 2; ++i) {
+    auto events = sup.WaitEvents(0.05);
+    ASSERT_TRUE(events.ok()) << events.error().ToString();
   }
-  EXPECT_GE(sup.StartCount(*respawner).value(), 2u);
+  const uint64_t fired = fault::InjectionsFired();
+  fault::ClearPlan();
+  EXPECT_EQ(fired, 1u);
+  EXPECT_EQ(sup.StartCount(*id).value(), 2u);
   ASSERT_TRUE(sup.ShutdownAll().ok());
-  TestOnlyForcePidfdFallback(false);
+  EXPECT_EQ(OurChildren(), before);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //
 // Options:
 //   --backend NAME               route: auto|forkexec|vfork|posix_spawn|
-//                                clone3|forkserver|sharded (default auto;
+//                                clone_vm|forkserver|sharded (default auto;
 //                                fork/spawn accepted as aliases for
 //                                forkexec/posix_spawn). forkserver and
 //                                sharded route through a zygote and fall
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       } else if (*v == "spawn") {
         backend = "posix_spawn";
       } else if (*v == "auto" || *v == "forkexec" || *v == "vfork" || *v == "posix_spawn" ||
-                 *v == "clone3" || *v == "forkserver" || *v == "sharded") {
+                 *v == "clone_vm" || *v == "forkserver" || *v == "sharded") {
         backend = *v;
       } else {
         std::fprintf(stderr, "forklift-run: unknown backend '%s'\n", v->c_str());
@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
     service.AddLocalRoute(SpawnBackendKind::kVfork);
   } else if (backend == "posix_spawn") {
     service.AddLocalRoute(SpawnBackendKind::kPosixSpawn);
-  } else if (backend == "clone3") {
+  } else if (backend == "clone_vm") {
     service.AddLocalRoute(SpawnBackendKind::kCloneVm);
   } else if (backend == "forkserver") {
     service.AddRoute(socket_path.empty() ? ForkServerTransport::StartInProcess()
