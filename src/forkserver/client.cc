@@ -1,5 +1,6 @@
 #include "src/forkserver/client.h"
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 
@@ -11,6 +12,7 @@
 #include "src/common/pipe.h"
 #include "src/faultinject/faultinject.h"
 #include "src/forkserver/fd_transfer.h"
+#include "src/forkserver/server.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
@@ -402,6 +404,31 @@ Result<std::string> ForkServerClient::PendingReply::AwaitStats() {
 Status ForkServerClient::PendingReply::AwaitAck(MsgType type) {
   FORKLIFT_ASSIGN_OR_RETURN(std::string frame, Take());
   return DecodeAck(frame, type);
+}
+
+// --- OwnedZygote ---
+
+OwnedZygote::OwnedZygote(ForkServerHandle handle)
+    : channel_(std::make_shared<ForkServerClient>(std::move(handle.client_sock))),
+      pid_(handle.server_pid) {}
+
+OwnedZygote::~OwnedZygote() { (void)Stop(); }
+
+Status OwnedZygote::Stop() {
+  if (pid_ <= 0) {
+    return Status::Ok();
+  }
+  const bool acked = channel_->Shutdown().ok();
+  channel_.reset();
+  if (!acked) {
+    (void)::kill(pid_, SIGKILL);  // before the blocking reap, which it would wedge
+  }
+  auto reaped = WaitForExit(pid_);
+  pid_ = -1;
+  if (!reaped.ok()) {
+    return Err(reaped.error());
+  }
+  return Status::Ok();
 }
 
 }  // namespace forklift

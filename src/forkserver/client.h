@@ -8,6 +8,8 @@
 // parent), so waiting is a protocol round trip instead of waitpid. Callers
 // outside this subsystem reach it through SpawnService (service_adapters.h),
 // which wraps each pid in a ProcessHandle.
+//
+// OwnedZygote owns a zygote the library started for itself, and stops it.
 #ifndef SRC_FORKSERVER_CLIENT_H_
 #define SRC_FORKSERVER_CLIENT_H_
 
@@ -34,6 +36,8 @@
 #include "src/spawn/backend.h"
 
 namespace forklift {
+
+struct ForkServerHandle;
 
 // The pipelined client. Thread-safe: any number of threads may issue
 // requests concurrently; each request gets a fresh request_id and a
@@ -205,6 +209,28 @@ class ForkServerClient {
   Status death_ = Status::Ok();
 
   std::thread receiver_;  // started last, joined first
+};
+
+// A zygote this process started (StartForkServerProcess): its channel and
+// its pid. Stop sends kShutdown, SIGKILLs the zygote unless it acknowledged
+// (a handle from its channel can hold the socket open, so it may never see
+// EOF), then reaps it; on a dead channel kShutdown fails at once. Stop is
+// idempotent and the destructor runs it. Its holder serialises the calls.
+class OwnedZygote {
+ public:
+  explicit OwnedZygote(ForkServerHandle handle);  // opens the channel
+  ~OwnedZygote();
+  OwnedZygote(const OwnedZygote&) = delete;
+  OwnedZygote& operator=(const OwnedZygote&) = delete;
+
+  const std::shared_ptr<ForkServerClient>& channel() const { return channel_; }
+  pid_t pid() const { return pid_; }  // -1 once stopped
+
+  Status Stop();  // the reap's error, else Ok
+
+ private:
+  std::shared_ptr<ForkServerClient> channel_;
+  pid_t pid_ = -1;
 };
 
 }  // namespace forklift

@@ -1,5 +1,6 @@
 #include "src/forkserver/protocol.h"
 
+#include <cerrno>
 #include <map>
 
 #include "src/forkserver/fd_transfer.h"
@@ -148,7 +149,7 @@ Status EncodeSpawnBodyInto(WireWriter& w, const SpawnRequest& request,
   // descriptor list for a request that was never encoded.
   if (fds_out->size() > kMaxFdsPerFrame) {
     fds_out->clear();
-    return LogicalError("EncodeSpawnRequest: plan references too many descriptors");
+    return Err(Error(EMSGSIZE, "EncodeSpawnRequest: plan references too many descriptors"));
   }
   w.PutU32(static_cast<uint32_t>(fds_out->size()));
   return w.status();

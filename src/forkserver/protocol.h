@@ -87,8 +87,10 @@ void EncodeHeaderInto(WireWriter& w, MsgType type, const FrameMeta& meta);
 Status DecodeBareRequest(std::string_view frame, MsgType type, FrameMeta* meta = nullptr);
 
 // kSpawn. Fills `fds_out` with the descriptors (in transfer order) the frame
-// must carry, and sizes the frame up front. EncodeSpawnRequest returns the
-// frame as a string instead.
+// must carry, and sizes the frame up front. A plan with more than
+// kMaxFdsPerFrame distinct sources is refused with EMSGSIZE, by which the
+// transports tell a spawn the wire cannot carry. EncodeSpawnRequest returns
+// the frame as a string instead.
 Status EncodeSpawnRequestInto(WireWriter& w, const SpawnRequest& request,
                               std::vector<int>* fds_out, const FrameMeta& meta = {});
 Result<std::string> EncodeSpawnRequest(const SpawnRequest& request, std::vector<int>* fds_out,

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -170,26 +171,18 @@ Status ForkServer::FlushReplies(int sock) {
   if (it == channels_.end() || it->second.out.empty()) {
     return Status::Ok();
   }
-  // Move the burst out before writing: the write can yield (EAGAIN park) and
-  // by the time it finishes a parked-wait completion may queue more.
-  std::string out = std::move(it->second.out);
-  const size_t frames = it->second.out_frames;
-  it->second.out.clear();
-  it->second.out_frames = 0;
+  // Written in place: the write runs on the reactor's only thread and calls
+  // nothing back (an EAGAIN parks in poll), so nothing is queued meanwhile.
+  Channel& channel = it->second;
   struct iovec iov;
-  iov.iov_base = out.data();
-  iov.iov_len = out.size();
+  iov.iov_base = channel.out.data();
+  iov.iov_len = channel.out.size();
   auto sent = SendGathered(sock, &iov, 1, {});
-  FramesPerFlush().Observe(frames);
+  FramesPerFlush().Observe(channel.out_frames);
+  channel.out.clear();
+  channel.out_frames = 0;
   if (!sent.ok()) {
     return Err(sent.error());
-  }
-  // Hand the (now empty) buffer's capacity back to the channel if nothing
-  // else was queued meanwhile.
-  it = channels_.find(sock);
-  if (it != channels_.end() && it->second.out.empty()) {
-    out.clear();
-    it->second.out = std::move(out);
   }
   return Status::Ok();
 }
@@ -516,91 +509,66 @@ void ForkServer::HandleWait(int sock, std::string_view payload, const FrameMeta&
   QueueReply(sock, reply_);
 }
 
-Result<ForkServerHandle> StartForkServerProcess() {
-  FORKLIFT_ASSIGN_OR_RETURN(SocketPair sp, MakeSocketPair());
+Result<pid_t> ForkZygote(ForkServer& server) {
+  // The descriptors the zygote keeps, sorted here so the child need not allocate.
+  std::vector<int> keep;
+  for (const ForkServer::Listener& l : server.listeners_) {
+    keep.push_back(l.fd.get());
+  }
+  for (const auto& [fd, channel] : server.channels_) {
+    keep.push_back(fd);
+  }
+  std::sort(keep.begin(), keep.end());
   // The one sanctioned raw fork outside src/spawn/: the zygote *is* the
   // fork-server substrate, and must clone itself before any threads exist —
   // which also answers R12: thread creations elsewhere in the program happen
   // after (and in processes other than) this early clone.
   pid_t pid = ::fork();  // forklint:ignore(R7,R12)
   if (pid < 0) {
-    return ErrnoError("fork (starting fork server)");
+    return ErrnoError("fork (starting zygote)");
   }
   if (pid == 0) {
-    // Server process. Drop the client end; serve; die quietly. The zygote
-    // inherits the parent's current (ideally small) address space — starting
-    // it early is the documented contract.
-    sp.first.Reset();
-    // fork also copied every descriptor the caller had open (the §5.1 leak):
-    // a pipe end created before a lazily-started server would hold a
-    // sibling's stdin open forever, so close everything beyond stdio and the
-    // channel. Descriptors a client wants the server to hold are passed
-    // explicitly via SCM_RIGHTS, never inherited.
-    int sock = sp.second.Release();
-    if (sock != 3) {
-      ::dup2(sock, 3);
-      ::close(sock);
-      sock = 3;
-    }
-    // dup2 strips FD_CLOEXEC: restore it, or every child this server execs
-    // would inherit the channel socket and keep it open past our death —
-    // clients would never see EOF on a dead server. Raw fcntl, like the rest
-    // of this child bootstrap: fault plans inherited from the parent must not
-    // fire here (a silently-skipped restore IS the hang it prevents).
-    int fdflags = ::fcntl(sock, F_GETFD);
-    if (fdflags >= 0) {
-      ::fcntl(sock, F_SETFD, fdflags | FD_CLOEXEC);
-    }
-    ::syscall(SYS_close_range, 4u, ~0u, 0u);
-    ForkServer server{UniqueFd(sock)};
-    // Serve() allocates freely — legal here because the zygote contract
-    // guarantees the parent was single-threaded at fork time, so the child's
-    // heap locks cannot be held by a vanished thread.
-    auto served = server.Serve();  // forklint:ignore(R10)
-    if (!served.ok()) {
-      FORKLIFT_ERROR("fork server terminating on transport error: %s",
-                     served.error().ToString().c_str());
-      _exit(1);
-    }
-    _exit(0);
-  }
-  ForkServerHandle handle;
-  handle.client_sock = std::move(sp.first);
-  handle.server_pid = pid;
-  return handle;
-}
-
-Result<pid_t> SpawnShardProcess(ForkServer& server) {
-  // The shard is the same zygote clone as StartForkServerProcess — forked
-  // small, before the supervisor grows (or threads: R12) — it just inherits
-  // a shared listener instead of a private socketpair.
-  pid_t pid = ::fork();  // forklint:ignore(R7,R12)
-  if (pid < 0) {
-    return ErrnoError("fork (forkserver shard)");
-  }
-  if (pid == 0) {
-    // The supervisor collects SIGTERM/SIGINT/SIGCHLD with a blocked mask and
-    // sigwait; both the mask and any handlers are inherited across fork and
-    // would make the forwarded SIGTERM a no-op here, wedging supervised
-    // shutdown. The shard never execs, so R8's reset-on-exec concern does
-    // not apply.
+    // fork copied the starter's signal state and descriptors (§4); undo both
+    // with raw calls, so that no inherited fault plan fires here. A blocked
+    // or handled SIGTERM (forkliftd's supervisor blocks it for sigwait) would
+    // not stop the zygote. It never execs, so R8's exec concern is moot.
     sigset_t none;
     ::sigemptyset(&none);
     ::sigprocmask(SIG_SETMASK, &none, nullptr);
     ::signal(SIGTERM, SIG_DFL);  // forklint:ignore(R8)
     ::signal(SIGINT, SIG_DFL);   // forklint:ignore(R8)
-    server.DisownListenPath();
-    // Allocation in Serve() is safe for the same reason as the zygote child:
-    // the supervisor is single-threaded when shards are cloned.
+    // An inherited pipe end would hold a sibling's stdin open for the
+    // zygote's life; a client passes what it needs via SCM_RIGHTS.
+    unsigned int next = 3;
+    for (int fd : keep) {
+      if (static_cast<unsigned int>(fd) > next) {
+        ::syscall(SYS_close_range, next, fd - 1u, 0u);
+      }
+      next = std::max(next, fd + 1u);
+    }
+    ::syscall(SYS_close_range, next, ~0u, 0u);
+    for (ForkServer::Listener& l : server.listeners_) {
+      l.path.clear();  // the starter owns the socket files
+    }
+    // Serve() allocates freely — legal here because the zygote contract
+    // guarantees the parent was single-threaded at fork time, so the child's
+    // heap locks cannot be held by a vanished thread.
     auto served = server.Serve();  // forklint:ignore(R10)
     if (!served.ok()) {
-      FORKLIFT_ERROR("fork-server shard terminating on transport error: %s",
+      FORKLIFT_ERROR("zygote terminating on transport error: %s",
                      served.error().ToString().c_str());
       _exit(1);
     }
     _exit(0);
   }
   return pid;
+}
+
+Result<ForkServerHandle> StartForkServerProcess() {
+  FORKLIFT_ASSIGN_OR_RETURN(SocketPair sp, MakeSocketPair());
+  ForkServer server(std::move(sp.second));  // closes our copy of the zygote's end
+  FORKLIFT_ASSIGN_OR_RETURN(pid_t pid, ForkZygote(server));
+  return ForkServerHandle{std::move(sp.first), pid};
 }
 
 }  // namespace forklift

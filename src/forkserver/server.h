@@ -35,6 +35,9 @@
 // replies are written loses only its own channel. A peer that keeps sending
 // but never reads its replies is not contained: once its socket buffer
 // fills, the reply flush blocks the reactor, and with it every channel.
+//
+// Every zygote the library forks, private or a forkliftd shard, starts
+// through one bootstrap, ForkZygote, which drops what fork handed it unasked.
 #ifndef SRC_FORKSERVER_SERVER_H_
 #define SRC_FORKSERVER_SERVER_H_
 
@@ -69,8 +72,8 @@ class ForkServer {
   // Binds a second listener dedicated to metrics scrapes. Accepted
   // connections are ordinary protocol channels (scrapers send kStats frames);
   // the separate path just keeps observability traffic off the spawn socket.
-  // Call before Serve. The file is unlinked when Serve returns unless the
-  // path was disowned.
+  // Call before Serve. The file is unlinked when Serve returns, except in a
+  // zygote ForkZygote started.
   Status ListenMetrics(const std::string& path);
 
   // Makes Serve watch SIGUSR1 (via signalfd) and dump the Prometheus export
@@ -85,16 +88,9 @@ class ForkServer {
   // take — has its burst's replies flushed and is closed alone.
   Result<uint64_t> Serve();
 
-  // Shard mode (SpawnShardProcess): the forked shard serves the inherited
-  // listeners but must not unlink the socket files — the supervising parent
-  // owns them.
-  void DisownListenPath() {
-    for (Listener& l : listeners_) {
-      l.path.clear();
-    }
-  }
-
  private:
+  friend Result<pid_t> ForkZygote(ForkServer& server);
+
   // A kWait for a live child, parked until its exit is observed.
   struct ParkedWait {
     int sock = -1;
@@ -122,7 +118,7 @@ class ForkServer {
   // A listening socket whose accepted connections become channels.
   struct Listener {
     UniqueFd fd;
-    std::string path;  // unlinked when Serve returns; empty once disowned
+    std::string path;  // unlinked when Serve returns; empty in a forked zygote
   };
 
   // Answers one frame on its reply type; returns true when the server should
@@ -182,21 +178,22 @@ class ForkServer {
   Status serve_error_;
 };
 
-// Launches a dedicated fork-server *process* (forked before the caller grows —
-// call it early) and returns the client end of its socket. The server process
-// serves until shutdown/EOF, then _exits. The returned pid is the server's.
+// Forks a zygote that serves `server`, then _exits: 0 after a client's
+// kShutdown, 1 on a reactor error. First it empties its signal mask, resets
+// SIGTERM and SIGINT to SIG_DFL, closes every descriptor but stdio and the
+// server's own, and forgets its listen paths (the caller owns the files).
+// The caller keeps its copy of `server`. Call it early, while this process
+// is small and single-threaded: the zygote clones its address space.
+Result<pid_t> ForkZygote(ForkServer& server);
+
+// Starts a private zygote over a socketpair and returns the client end of its
+// socket and its pid. It serves until shutdown/EOF; OwnedZygote (client.h)
+// stops it.
 struct ForkServerHandle {
   UniqueFd client_sock;
   pid_t server_pid = -1;
 };
 Result<ForkServerHandle> StartForkServerProcess();
-
-// Forks a shard process that serves `server`'s (already-listening, shared)
-// socket and _exits when Serve returns: 0 on a clean client-initiated
-// shutdown, 1 on a reactor error. The caller keeps its own copy of the
-// listener and supervises the returned pid (forkliftd --shards). The shard
-// never unlinks the socket path; the supervisor owns the file.
-Result<pid_t> SpawnShardProcess(ForkServer& server);
 
 }  // namespace forklift
 

@@ -1,7 +1,6 @@
 #include "src/forkserver/service_adapters.h"
 
 #include <signal.h>
-#include <sys/wait.h>
 
 #include <cerrno>
 #include <utility>
@@ -11,6 +10,13 @@
 namespace forklift {
 
 namespace {
+
+// A failed submit sent no whole frame. One the encoder refused (EMSGSIZE)
+// also left its channel serving: this route cannot carry the spawn.
+SpawnFailureKind SubmitFailureKind(const Error& error) {
+  return error.IsErrno(EMSGSIZE) ? SpawnFailureKind::kUnsupported
+                                 : SpawnFailureKind::kTransportRetryable;
+}
 
 // ProcessHandle::Impl over one shard channel: the wait is a kWait parked on
 // the server, submitted lazily on the first wait call and kept in flight
@@ -105,30 +111,6 @@ std::unique_ptr<ForkServerTransport> ForkServerTransport::Adopt(
   return t;
 }
 
-ForkServerTransport::~ForkServerTransport() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const bool acked =
-      mode_ == Mode::kStartProcess && channel_ != nullptr && channel_->Shutdown().ok();
-  channel_.reset();
-  ReapServerLocked(/*kill=*/!acked);
-}
-
-void ForkServerTransport::ReapServerLocked(bool kill) {
-  if (server_pid_ <= 0) {
-    return;
-  }
-  // A server that did not acknowledge kShutdown may never see EOF: a handle
-  // from its channel still holds the socket open. Kill it before the
-  // blocking reap, as ShardedForkServer does with a shard.
-  if (kill) {
-    (void)::kill(server_pid_, SIGKILL);
-  }
-  int wstatus = 0;
-  while (waitpid(server_pid_, &wstatus, 0) < 0 && errno == EINTR) {
-  }
-  server_pid_ = -1;
-}
-
 Result<std::shared_ptr<ForkServerClient>> ForkServerTransport::EnsureChannel() {
   std::lock_guard<std::mutex> lock(mu_);
   if (channel_ != nullptr && !channel_->dead()) {
@@ -149,33 +131,22 @@ Result<std::shared_ptr<ForkServerClient>> ForkServerTransport::EnsureChannel() {
     }
     case Mode::kStartProcess: {
       channel_.reset();
-      ReapServerLocked(/*kill=*/true);  // its channel is dead or was never opened
-      // Forking under mu_ is safe by construction: the server child never
-      // touches transport state — it close-ranges every inherited fd and
-      // serves its own socketpair end.
+      zygote_.reset();  // its channel is dead or was never opened: kills and reaps it
+      // Forking under mu_ is safe by construction: the zygote never touches
+      // transport state — it closes every inherited fd and serves its own
+      // socketpair end.
       FORKLIFT_ASSIGN_OR_RETURN(ForkServerHandle handle, StartForkServerProcess());  // forklint:ignore(R9)
-      channel_ = std::make_shared<ForkServerClient>(std::move(handle.client_sock));
-      server_pid_ = handle.server_pid;
+      zygote_ = std::make_unique<OwnedZygote>(std::move(handle));
+      channel_ = zygote_->channel();
       return channel_;
     }
   }
   return LogicalError("ForkServerTransport: unknown mode");
 }
 
-void ForkServerTransport::DropChannelIfDead() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (channel_ != nullptr && channel_->dead() && mode_ != Mode::kAdopted) {
-    channel_.reset();  // next EnsureChannel reconnects/restarts
-  }
-}
-
 Status ForkServerTransport::Probe() {
   FORKLIFT_ASSIGN_OR_RETURN(std::shared_ptr<ForkServerClient> channel, EnsureChannel());
-  Status st = channel->Ping();
-  if (!st.ok()) {
-    DropChannelIfDead();
-  }
-  return st;
+  return channel->Ping();
 }
 
 Result<ProcessHandle> ForkServerTransport::Launch(const Spawner& spawner, uint64_t trace_id,
@@ -191,8 +162,7 @@ Result<ProcessHandle> ForkServerTransport::Launch(const Spawner& spawner, uint64
   if (!pending.ok()) {
     // Submit failed: the frame never fully hit the wire (a partial frame is
     // unparseable to the length-prefixed reader), so no child was created.
-    DropChannelIfDead();
-    *failure = SpawnFailureKind::kTransportRetryable;
+    *failure = SubmitFailureKind(pending.error());
     return Err(pending.error());
   }
   auto pid = pending.value().AwaitPid();
@@ -200,7 +170,6 @@ Result<ProcessHandle> ForkServerTransport::Launch(const Spawner& spawner, uint64
     if (channel->dead()) {
       // The request was on the wire when the channel died: the server may
       // have forked before going down, so this request must not be retried.
-      DropChannelIfDead();
       *failure = SpawnFailureKind::kTransportIndeterminate;
     } else {
       // The server answered with an error: the request itself is bad.
@@ -257,7 +226,7 @@ Result<ProcessHandle> ShardedTransport::Launch(const Spawner& spawner, uint64_t 
   if (!pending.ok()) {
     // The pool already applied its own exactly-once resubmit policy; what
     // escapes is "no shard could take the frame" — nothing launched.
-    *failure = SpawnFailureKind::kTransportRetryable;
+    *failure = SubmitFailureKind(pending.error());
     return Err(pending.error());
   }
   // Grab the routed channel before AwaitPid releases the reference: the

@@ -8,6 +8,8 @@
 // server process.
 //
 // Failure classification (the exactly-once contract the router relies on):
+//   * a spawn the wire cannot encode (EMSGSIZE) — nothing was sent and the
+//     channel still serves, kUnsupported: the router tries the next route;
 //   * connect/start failure, channel already dead, submit failure — the
 //     frame never fully reached a healthy channel, so kTransportRetryable;
 //   * server replied with an error — the request itself is bad, kRequest;
@@ -51,17 +53,15 @@ class ForkServerTransport final : public SpawnTransport {
   // ForkServer::Listen).
   static std::unique_ptr<ForkServerTransport> ConnectLazy(std::string socket_path);
 
-  // Forks a private server process on first use (early — the server clones
-  // this process's address space) and shuts it down on destruction, killing
-  // it unless it acknowledged kShutdown. A died server is restarted on the
-  // next Launch/Probe.
+  // Starts a private zygote on first use (early — the zygote clones this
+  // process's address space) and owns it as one OwnedZygote, which stops it
+  // on destruction. A zygote whose channel died is replaced on the next
+  // Launch/Probe: destroying its owner kills and reaps it.
   static std::unique_ptr<ForkServerTransport> StartInProcess();
 
   // Adopts an existing channel (tests, pre-connected daemons). No restart:
   // when the channel dies the route just stays unhealthy.
   static std::unique_ptr<ForkServerTransport> Adopt(std::shared_ptr<ForkServerClient> channel);
-
-  ~ForkServerTransport() override;
 
   const char* Name() const override { return "forkserver"; }
   bool SupportsPipeStdio() const override { return false; }
@@ -77,17 +77,13 @@ class ForkServerTransport final : public SpawnTransport {
   // Returns a live channel, (re)establishing it per mode_. Takes mu_; the
   // returned shared_ptr keeps the channel alive outside the lock.
   Result<std::shared_ptr<ForkServerClient>> EnsureChannel();
-  void DropChannelIfDead();
-  // Reaps a kStartProcess server whose channel is gone, SIGKILLing it first
-  // when `kill` — always, unless it acknowledged kShutdown (mu_ held).
-  void ReapServerLocked(bool kill);
 
   Mode mode_;
   std::string socket_path_;
 
   std::mutex mu_;
   std::shared_ptr<ForkServerClient> channel_;
-  pid_t server_pid_ = -1;  // kStartProcess only
+  std::unique_ptr<OwnedZygote> zygote_;  // kStartProcess: owns channel_'s zygote
 };
 
 // The sharded zygote pool as a SpawnService route ("sharded"). The pool's

@@ -1,12 +1,10 @@
 #include "src/forkserver/sharded.h"
 
-#include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <utility>
 
-#include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
 #include "src/forkserver/server.h"
 #include "src/obs/registry.h"
@@ -59,12 +57,10 @@ Result<std::unique_ptr<ShardedForkServer>> ShardedForkServer::Start(const Option
   for (size_t i = 0; i < opts.shards; ++i) {
     auto handle = ForkShard();
     if (!handle.ok()) {
-      // Roll back the shards already forked so a failed Start leaks neither
-      // processes nor sockets.
+      // Owning each shard already forked stops it, so a failed Start leaks
+      // neither processes nor sockets.
       for (ForkServerHandle& forked : handles) {
-        forked.client_sock.Reset();
-        (void)::kill(forked.server_pid, SIGKILL);
-        (void)WaitForExit(forked.server_pid);
+        (void)OwnedZygote(std::move(forked)).Stop();
       }
       return Err(handle.error());
     }
@@ -81,42 +77,21 @@ Result<std::unique_ptr<ShardedForkServer>> ShardedForkServer::Start(const Option
 
 ShardedForkServer::~ShardedForkServer() { (void)Shutdown(); }
 
-Status ShardedForkServer::StartShardLocked(size_t idx) {
-  FORKLIFT_ASSIGN_OR_RETURN(ForkServerHandle handle, ForkShard());
-  AdoptShardLocked(idx, std::move(handle));
-  return Status::Ok();
-}
-
 void ShardedForkServer::AdoptShardLocked(size_t idx, ForkServerHandle handle) {
   Shard& shard = shards_[idx];
-  shard.client = std::make_shared<ForkServerClient>(std::move(handle.client_sock));
-  shard.server_pid = handle.server_pid;
+  shard.zygote = std::make_unique<OwnedZygote>(std::move(handle));
   ++shard.generation;
   LiveShardsGauge().Add(1);
 }
 
-void ShardedForkServer::ReapShardLocked(size_t idx) {
-  Shard& shard = shards_[idx];
-  if (shard.server_pid > 0) {
-    // A shard is retired on the first transport error its channel reports —
-    // which a send-side failure can raise while the server process is still
-    // alive and parked in its Serve loop (and in-flight PendingSpawn holders
-    // may keep the socket open past this point). Kill before reaping so the
-    // blocking wait below can never wedge the pool on a live process.
-    (void)::kill(shard.server_pid, SIGKILL);
-    auto reaped = WaitForExit(shard.server_pid);
-    (void)reaped;  // a reap error leaves nothing further to clean up
-    shard.server_pid = -1;
-  }
-}
-
 void ShardedForkServer::CleanupShardLocked(size_t idx) {
   Shard& shard = shards_[idx];
-  if (shard.client != nullptr) {
+  if (shard.zygote != nullptr) {
     LiveShardsGauge().Add(-1);
   }
-  shard.client.reset();
-  ReapShardLocked(idx);
+  // Its channel is dead — a failed send can kill it while the zygote still
+  // serves — so its owner kills the zygote before the reap, never awaits it.
+  shard.zygote.reset();
   // Children of the dead shard have no parent left to wait on them; forget
   // them so their waits fail fast with ECHILD instead of routing nowhere.
   std::erase_if(owner_, [idx, gen = shard.generation](const auto& entry) {
@@ -129,7 +104,8 @@ Status ShardedForkServer::RestartShardLocked(size_t idx) {
   // Forking under mu_ is safe: the forked shard never takes it (it closes
   // every inherited descriptor and serves its own socket), so the callers
   // that hold mu_ suppress R9 with "see RestartShardLocked".
-  FORKLIFT_RETURN_IF_ERROR(StartShardLocked(idx));
+  FORKLIFT_ASSIGN_OR_RETURN(ForkServerHandle handle, ForkShard());
+  AdoptShardLocked(idx, std::move(handle));
   ++restarts_;
   RestartCounter().Increment();
   return Status::Ok();
@@ -145,7 +121,7 @@ void ShardedForkServer::NoteShardFailure() {
 void ShardedForkServer::ReplaceDeadShardsLocked() {
   std::vector<size_t> dead;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].client != nullptr && shards_[i].client->dead()) {
+    if (shards_[i].zygote != nullptr && shards_[i].zygote->channel()->dead()) {
       CleanupShardLocked(i);
       dead.push_back(i);
     }
@@ -164,10 +140,10 @@ Result<size_t> ShardedForkServer::RouteLocked() {
   size_t best_load = SIZE_MAX;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
-    if (shard.client == nullptr) {
+    if (shard.zygote == nullptr) {
       continue;  // its restart failed
     }
-    size_t load = shard.client->outstanding();
+    size_t load = shard.zygote->channel()->outstanding();
     if (load < best_load) {
       best = i;
       best_load = load;
@@ -207,7 +183,7 @@ Result<ShardedForkServer::PendingSpawn> ShardedForkServer::LaunchAsync(const Spa
       FORKLIFT_ASSIGN_OR_RETURN(size_t routed, RouteLocked());  // forklint:ignore(R9) — see RestartShardLocked
       idx = routed;
       generation = shards_[idx].generation;
-      client = shards_[idx].client;
+      client = shards_[idx].zygote->channel();
     }
     auto pending = client->LaunchAsync(req, trace_id);
     if (pending.ok()) {
@@ -222,7 +198,11 @@ Result<ShardedForkServer::PendingSpawn> ShardedForkServer::LaunchAsync(const Spa
       return spawn;
     }
     // A send that failed killed the channel, and the retry's route replaces
-    // the dead shard; one that failed to encode left the shard serving.
+    // the dead shard. A spawn that failed to encode left the shard serving,
+    // and no other shard could encode it either.
+    if (!client->dead()) {
+      return Err(pending.error());
+    }
     last_error = Err(pending.error());
   }
   return Err(last_error.error());
@@ -270,12 +250,12 @@ Result<ExitStatus> ShardedForkServer::WaitRemote(pid_t pid) {
     }
     idx = it->second.first;
     generation = it->second.second;
-    if (shards_[idx].generation != generation || shards_[idx].client == nullptr) {
+    if (shards_[idx].generation != generation || shards_[idx].zygote == nullptr) {
       owner_.erase(it);
       return Err(Error(ECHILD, "sharded forkserver: owning shard of pid " +
                                    std::to_string(pid) + " is gone"));
     }
-    client = shards_[idx].client;
+    client = shards_[idx].zygote->channel();
   }
   auto status = client->WaitRemote(pid);
   client.reset();
@@ -298,8 +278,8 @@ Status ShardedForkServer::Ping() {
     }
     ReplaceDeadShardsLocked();  // forklint:ignore(R9) — see RestartShardLocked
     for (const Shard& shard : shards_) {
-      if (shard.client != nullptr) {
-        clients.push_back(shard.client);
+      if (shard.zygote != nullptr) {
+        clients.push_back(shard.zygote->channel());
       }
     }
   }
@@ -313,7 +293,7 @@ Status ShardedForkServer::Ping() {
 }
 
 Status ShardedForkServer::Shutdown() {
-  std::vector<std::pair<std::shared_ptr<ForkServerClient>, pid_t>> to_stop;
+  std::vector<std::unique_ptr<OwnedZygote>> to_stop;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shut_down_) {
@@ -321,29 +301,18 @@ Status ShardedForkServer::Shutdown() {
     }
     shut_down_ = true;
     for (Shard& shard : shards_) {
-      if (shard.client != nullptr) {
+      if (shard.zygote != nullptr) {
         LiveShardsGauge().Add(-1);
+        to_stop.push_back(std::move(shard.zygote));
       }
-      to_stop.emplace_back(std::move(shard.client), shard.server_pid);
-      shard.client.reset();
-      shard.server_pid = -1;
     }
     owner_.clear();
   }
   Status first_error = Status::Ok();
-  for (auto& [client, pid] : to_stop) {
-    const bool acked = client != nullptr && client->Shutdown().ok();
-    client.reset();
-    if (pid > 0) {
-      // A shard that did not acknowledge kShutdown may never see EOF: a
-      // handle from its channel can hold the socket open. Kill it first.
-      if (!acked) {
-        (void)::kill(pid, SIGKILL);
-      }
-      auto reaped = WaitForExit(pid);
-      if (!reaped.ok() && first_error.ok()) {
-        first_error = Err(reaped.error());
-      }
+  for (auto& zygote : to_stop) {  // each kShutdown round trip outside mu_
+    Status stopped = zygote->Stop();
+    if (!stopped.ok() && first_error.ok()) {
+      first_error = stopped;
     }
   }
   return first_error;
@@ -364,7 +333,7 @@ std::vector<pid_t> ShardedForkServer::shard_pids() const {
   std::vector<pid_t> pids;
   pids.reserve(shards_.size());
   for (const Shard& shard : shards_) {
-    pids.push_back(shard.server_pid);
+    pids.push_back(shard.zygote != nullptr ? shard.zygote->pid() : -1);
   }
   return pids;
 }

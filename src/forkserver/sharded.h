@@ -29,8 +29,6 @@
 
 namespace forklift {
 
-struct ForkServerHandle;
-
 class ShardedForkServer {
  public:
   struct Options {
@@ -106,21 +104,18 @@ class ShardedForkServer {
   uint64_t restarts() const;
 
  private:
+  // The generation tells the zygote's children from its predecessors'.
   struct Shard {
-    std::shared_ptr<ForkServerClient> client;  // null when dead and not restarted
-    pid_t server_pid = -1;
+    std::unique_ptr<OwnedZygote> zygote;  // null when dead and not restarted
     uint64_t generation = 0;
   };
 
   explicit ShardedForkServer(const Options& options) : options_(options) {}
 
-  // Forks a fresh server process into shards_[idx] (mu_ held).
-  Status StartShardLocked(size_t idx);
-  // Opens the channel to a forked shard process as shards_[idx] (mu_ held).
+  // Makes a forked zygote shards_[idx]'s OwnedZygote (mu_ held).
   void AdoptShardLocked(size_t idx, ForkServerHandle handle);
-  // Reaps shards_[idx]'s dead server (mu_ held).
-  void ReapShardLocked(size_t idx);
-  // Drops the channel, reaps the server, forgets its children (mu_ held).
+  // Stops shards_[idx]'s zygote, whose channel is dead, and forgets its
+  // children (mu_ held).
   void CleanupShardLocked(size_t idx);
   // Records pid→shard ownership after a successful routed spawn.
   void RegisterChild(pid_t pid, size_t idx, uint64_t generation);

@@ -129,7 +129,8 @@ Result<ProcessHandle> SpawnService::SpawnOnRoute(Route& route, const Spawner& sp
       route.metrics.RecordSuccess();
       return handle;
     }
-    if (*failure != SpawnFailureKind::kRequest) {
+    if (*failure == SpawnFailureKind::kTransportRetryable ||
+        *failure == SpawnFailureKind::kTransportIndeterminate) {
       route.metrics.RecordTransportFailure();
     }
     // Only a provably-unlaunched failure may be resubmitted: an indeterminate
@@ -191,6 +192,13 @@ Result<ProcessHandle> SpawnService::Spawn(const Spawner& spawner) {
       finish("request_error");
       return handle;  // no route would fare better
     }
+    if (failure == SpawnFailureKind::kUnsupported) {
+      // Nothing was sent, and the route still serves other requests.
+      tracer.Record(trace_id, route_span, route_start, MonotonicNanos(), "unsupported");
+      route->metrics.RecordIncapableSkip();
+      last = Err(handle.error());
+      continue;
+    }
     QuarantineRoute(*route);
     if (failure == SpawnFailureKind::kTransportIndeterminate) {
       // The child may exist on the dead transport; surface the error instead
@@ -251,7 +259,9 @@ Result<ProcessHandle> SpawnService::Spawn(const Spawner& spawner, std::string_vi
   }
   tracer.Record(trace_id, route_span, route_start, MonotonicNanos(), "error");
   tracer.Record(trace_id, "submit", submit_start, MonotonicNanos(), "error");
-  if (failure != SpawnFailureKind::kRequest) {
+  if (failure == SpawnFailureKind::kUnsupported) {
+    pinned->metrics.RecordIncapableSkip();
+  } else if (failure != SpawnFailureKind::kRequest) {
     QuarantineRoute(*pinned);
   }
   return handle;

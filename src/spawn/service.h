@@ -54,6 +54,11 @@ enum class SpawnFailureKind {
   // The transport died after the request may have reached it: the child may
   // or may not exist, so neither retry nor fallback is safe for THIS request.
   kTransportIndeterminate,
+  // The route cannot carry this request (the wire cannot encode it), and
+  // nothing was sent: the next route is tried at once. Like a wire route
+  // skipped for pipe stdio, this is an incapable skip, not a transport
+  // failure — no retry, no backoff, no quarantine.
+  kUnsupported,
 };
 
 // One mechanism a SpawnService can route to. Implementations must be

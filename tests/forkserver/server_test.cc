@@ -3,22 +3,27 @@
 // ecosystem copes" experiments in executable form.
 #include "src/forkserver/server.h"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
@@ -276,6 +281,113 @@ TEST(ForkServerProcessTest, EofShutsServerDown) {
   auto server_exit = WaitForExit(handle->server_pid);
   ASSERT_TRUE(server_exit.ok());
   EXPECT_TRUE(server_exit->Success());
+}
+
+// The raw wait status of `pid` once it exits within `seconds`; nullopt when
+// it is still running then, in which case it is killed and reaped.
+std::optional<int> ExitWithin(pid_t pid, double seconds) {
+  Stopwatch sw;
+  do {
+    int raw = 0;
+    if (::waitpid(pid, &raw, WNOHANG) == pid) {
+      return raw;
+    }
+    ::usleep(10 * 1000);
+  } while (sw.ElapsedSeconds() < seconds);
+  (void)::kill(pid, SIGKILL);
+  (void)WaitForExit(pid);
+  return std::nullopt;
+}
+
+// Sends SIGTERM to a serving zygote and expects it to die of it within 1 s.
+void ExpectSigtermEnds(ForkServerHandle handle) {
+  ForkServerClient client(std::move(handle.client_sock));
+  const Status pinged = client.Ping();  // serving, so past its bootstrap
+  ASSERT_EQ(::kill(handle.server_pid, SIGTERM), 0);
+  const std::optional<int> raw = ExitWithin(handle.server_pid, 1.0);
+  ASSERT_TRUE(pinged.ok()) << pinged.ToString();
+  ASSERT_TRUE(raw.has_value()) << "the zygote outlived SIGTERM by 1 s";
+  EXPECT_TRUE(WIFSIGNALED(*raw) && WTERMSIG(*raw) == SIGTERM) << "wait status " << *raw;
+}
+
+// fork hands the zygote its starter's signal state; the bootstrap resets it,
+// so a SIGTERM ends the zygote even when its starter handles SIGTERM...
+TEST(ForkServerProcessTest, SigtermEndsAZygoteWhoseStarterHandlesIt) {
+  struct sigaction handled {};
+  struct sigaction saved {};
+  handled.sa_handler = [](int) {};
+  ::sigemptyset(&handled.sa_mask);
+  ASSERT_EQ(::sigaction(SIGTERM, &handled, &saved), 0);
+  auto handle = StartForkServerProcess();
+  ASSERT_EQ(::sigaction(SIGTERM, &saved, nullptr), 0);
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  ExpectSigtermEnds(std::move(*handle));
+}
+
+// ...and when the thread that starts it blocks SIGTERM.
+TEST(ForkServerProcessTest, SigtermEndsAZygoteWhoseStarterBlocksIt) {
+  sigset_t term;
+  sigset_t saved;
+  ::sigemptyset(&term);
+  ::sigaddset(&term, SIGTERM);
+  ASSERT_EQ(::pthread_sigmask(SIG_BLOCK, &term, &saved), 0);
+  auto handle = StartForkServerProcess();
+  ASSERT_EQ(::pthread_sigmask(SIG_SETMASK, &saved, nullptr), 0);
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  ExpectSigtermEnds(std::move(*handle));
+}
+
+// What /proc/<pid>/fd/<fd> links to ("pipe:[inode]" for a pipe end).
+std::string FdTarget(pid_t pid, int fd) {
+  const std::string link = "/proc/" + std::to_string(pid) + "/fd/" + std::to_string(fd);
+  char target[256];
+  const ssize_t n = ::readlink(link.c_str(), target, sizeof(target));
+  return n < 0 ? std::string() : std::string(target, static_cast<size_t>(n));
+}
+
+// Every file `pid` holds open, as FdTarget names it.
+std::set<std::string> HeldFiles(pid_t pid) {
+  std::set<std::string> held;
+  const std::string dir = "/proc/" + std::to_string(pid) + "/fd";
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(d)) {
+      if (entry->d_name[0] != '.') {
+        held.insert(FdTarget(pid, std::atoi(entry->d_name)));
+      }
+    }
+    ::closedir(d);
+  }
+  return held;
+}
+
+// fork also hands the zygote every descriptor its starter had open: a zygote
+// forked over a listener holds neither end of an inheritable pipe of its
+// starter's, still accepts on its listener, and leaves the socket file to
+// its starter.
+TEST(ForkServerProcessTest, ForkedListenerZygoteHoldsOnlyItsOwnDescriptors) {
+  const std::string path =
+      ::testing::TempDir() + "zygote_fds_" + std::to_string(::getpid()) + ".sock";
+  auto server = ForkServer::Listen(path);
+  ASSERT_TRUE(server.ok()) << server.error().ToString();
+  auto inherited = MakePipe(/*cloexec=*/false);
+  ASSERT_TRUE(inherited.ok()) << inherited.error().ToString();
+  auto zygote = ForkZygote(*server);
+  ASSERT_TRUE(zygote.ok()) << zygote.error().ToString();
+  {
+    auto client = ForkServerClient::ConnectPath(path);
+    ASSERT_TRUE(client.ok()) << client.error().ToString();
+    ASSERT_TRUE((*client)->Ping().ok());  // accepted, so past its bootstrap
+    const std::set<std::string> held = HeldFiles(*zygote);
+    EXPECT_FALSE(held.empty());
+    EXPECT_EQ(held.count(FdTarget(::getpid(), inherited->read_end.get())), 0u);
+    EXPECT_EQ(held.count(FdTarget(::getpid(), inherited->write_end.get())), 0u);
+    ASSERT_TRUE((*client)->Shutdown().ok());
+  }
+  auto zygote_exit = WaitForExit(*zygote);
+  ASSERT_TRUE(zygote_exit.ok()) << zygote_exit.error().ToString();
+  EXPECT_TRUE(zygote_exit->Success()) << zygote_exit->ToString();
+  EXPECT_EQ(::access(path.c_str(), F_OK), 0) << "the zygote unlinked its starter's socket";
+  ::unlink(path.c_str());
 }
 
 // Hits so far on the reactor's epoll_ctl(ADD) site, counted across this

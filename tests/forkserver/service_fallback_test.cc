@@ -23,6 +23,7 @@
 #include "src/common/pipe.h"
 #include "src/common/syscall.h"
 #include "src/faultinject/faultinject.h"
+#include "src/forkserver/fd_transfer.h"
 #include "src/forkserver/server.h"
 #include "src/forkserver/service_adapters.h"
 #include "src/forkserver/sharded.h"
@@ -228,6 +229,82 @@ TEST_F(ServiceFallbackTest, UnsentSpawnFrameFallsThroughToLocal) {
   auto zygote = WaitForExit(server_pid);
   ASSERT_TRUE(zygote.ok()) << zygote.error().ToString();
   EXPECT_TRUE(zygote->Success()) << zygote->ToString();
+}
+
+// A spawn whose plan passes one open descriptor more than a frame carries
+// (kMaxFdsPerFrame + 1 distinct sources, held in `fds`): the wire cannot
+// encode it, and a local engine runs it.
+Spawner OversizedSpawn(std::vector<UniqueFd>* fds) {
+  Spawner s("/bin/true");
+  for (int i = 0; i <= static_cast<int>(kMaxFdsPerFrame); ++i) {
+    fds->emplace_back(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+    s.fd_plan().Dup2(fds->back().get(), 10 + i);
+  }
+  return s;
+}
+
+// A spawn the wire cannot encode is no transport failure: nothing was sent
+// and `route` still serves. The default-policy service skips the route for
+// that request alone, as it skips a wire route for pipe stdio — one encode,
+// no retry, no quarantine — and runs it on local; the next spawns stay on
+// `route`. Pinned to `route`, the spawn gets the encoder's error.
+void ExpectOversizedSpawnSkipsOnly(SpawnService& service, const std::string& route) {
+  std::vector<UniqueFd> fds;
+  const Spawner oversized = OversizedSpawn(&fds);
+  auto child = service.Spawn(oversized);
+  ASSERT_TRUE(child.ok()) << child.error().ToString();
+  EXPECT_EQ(child->route(), "local:posix_spawn");
+  EXPECT_TRUE(child->Wait().value().Success());
+  const RouteMetrics::Snapshot skipped = service.RouteStats(route);
+  EXPECT_EQ(skipped.attempts, 1u);
+  EXPECT_EQ(skipped.retries, 0u);
+  EXPECT_EQ(skipped.transport_failures, 0u);
+  EXPECT_EQ(skipped.fallthroughs, 0u);
+  EXPECT_EQ(skipped.incapable_skips, 1u);
+
+  auto pinned = service.Spawn(oversized, route);
+  ASSERT_FALSE(pinned.ok());
+  EXPECT_NE(pinned.error().ToString().find("too many descriptors"), std::string::npos)
+      << pinned.error().ToString();
+
+  for (int i = 0; i < 3; ++i) {
+    auto next = service.Spawn(Spawner("/bin/true"));
+    ASSERT_TRUE(next.ok()) << next.error().ToString();
+    EXPECT_EQ(next->route(), route);
+    EXPECT_TRUE(next->Wait().value().Success());
+  }
+  const RouteMetrics::Snapshot after = service.RouteStats(route);
+  EXPECT_EQ(after.quarantine_skips, 0u);
+  EXPECT_EQ(after.transport_failures, 0u);
+  EXPECT_EQ(after.successes, 3u);
+}
+
+TEST_F(ServiceFallbackTest, SpawnTheWireCannotEncodeSkipsTheShardedRouteOnce) {
+  ShardedForkServer::Options pool_opts;
+  pool_opts.shards = 2;
+  auto started = ShardedForkServer::Start(pool_opts);
+  ASSERT_TRUE(started.ok()) << started.error().ToString();
+  std::shared_ptr<ShardedForkServer> pool = std::move(*started);
+  SpawnService service;
+  service.AddRoute(ShardedTransport::Adopt(pool));
+  service.AddLocalRoute(SpawnBackendKind::kPosixSpawn);
+  ExpectOversizedSpawnSkipsOnly(service, "sharded");
+  EXPECT_EQ(pool->restarts(), 0u);
+}
+
+TEST_F(ServiceFallbackTest, SpawnTheWireCannotEncodeSkipsTheForkserverRouteOnce) {
+  auto handle = StartForkServerProcess();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  const pid_t zygote = handle->server_pid;
+  auto channel = std::make_shared<ForkServerClient>(std::move(handle->client_sock));
+  {
+    SpawnService service;
+    service.AddRoute(ForkServerTransport::Adopt(channel));
+    service.AddLocalRoute(SpawnBackendKind::kPosixSpawn);
+    ExpectOversizedSpawnSkipsOnly(service, "forkserver");
+  }
+  ASSERT_TRUE(channel->Shutdown().ok());
+  EXPECT_TRUE(WaitForExit(zygote).ok());
 }
 
 // Satellite 2 on the remote path: the first reap caches the status on the

@@ -37,9 +37,10 @@ using namespace forklift;
 
 namespace {
 
-// Runs the prefork supervisor: forks `shards` servers over the shared
-// listener, restarts crashed ones, and winds the rest down when any shard
-// exits cleanly (a client sent Shutdown) or the supervisor itself is told to
+// Runs the prefork supervisor: forks `shards` zygotes over the shared
+// listener (ForkZygote unblocks, in each, the SIGTERM blocked below),
+// restarts crashed ones, and winds the rest down when any shard exits
+// cleanly (a client sent Shutdown) or the supervisor itself is told to
 // terminate. Returns the process exit code.
 //
 // Termination and child-exit signals are BLOCKED and collected synchronously
@@ -58,7 +59,7 @@ int SuperviseShards(ForkServer& server, const std::string& socket_path,
   ::sigprocmask(SIG_BLOCK, &waitset, nullptr);
   std::set<pid_t> shard_pids;
   auto fork_shard = [&]() -> bool {
-    auto pid = SpawnShardProcess(server);
+    auto pid = ForkZygote(server);
     if (!pid.ok()) {
       std::fprintf(stderr, "forkliftd: %s\n", pid.error().ToString().c_str());
       return false;
